@@ -11,6 +11,7 @@ from .absorb import (
     absorb_observables,
     absorb_probabilities,
     apply_network,
+    decompose_h_cnot,
     map_expectations,
     postprocess_counts,
 )
@@ -29,24 +30,21 @@ from .circuit import (
     sdg,
 )
 from .extract import (
-    CommuteBlock,
     ExtractionResult,
     basis_change_gates,
     convert_commute_sets,
     extract,
-    find_next_pauli,
     native_circuit,
     tree_synthesis,
 )
-from .pauli import PauliString, PauliTerm, commutes, multiply, parse_pauli, weight
+from .pauli import PauliString, PauliTerm, multiply, parse_pauli
 from .problems import LoadedProblem, ProblemSpec, gen_labs, gen_maxcut, load_terms
-from .tableau import ConjugationTableau, decompose_h_cnot, identity_tableau
+from .tableau import ConjugationTableau
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Circuit",
-    "CommuteBlock",
     "ConjugationTableau",
     "CountsHistogram",
     "ExtractionResult",
@@ -62,18 +60,15 @@ __all__ = [
     "apply_network",
     "basis_change_gates",
     "cnot_count",
-    "commutes",
     "convert_commute_sets",
     "cx",
     "decompose_h_cnot",
     "emit_qasm",
     "entangling_depth",
     "extract",
-    "find_next_pauli",
     "gen_labs",
     "gen_maxcut",
     "h",
-    "identity_tableau",
     "load_terms",
     "map_expectations",
     "multiply",
@@ -86,5 +81,4 @@ __all__ = [
     "s",
     "sdg",
     "tree_synthesis",
-    "weight",
 ]

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
-from .errors import BitstringLengthMismatch, LengthMismatch
+from .errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
 from .extract import basis_change_gates
 from .pauli import PauliString
-from .tableau import ConjugationTableau, decompose_h_cnot
+from .tableau import ConjugationTableau
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,33 @@ def absorb_observables(
         t = tableau.conjugate(o)
         out.append(TransformedObservable(o, t, tuple(basis_change_gates(t))))
     return out
+
+
+def decompose_h_cnot(circuit: Circuit) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+    """Collapse every Hadamard of an H+CNOT circuit into a single layer,
+    leaving a pure CNOT network.
+
+    Sweeps the gates in time order with a pending-Hadamard set: H(q)
+    toggles q, a CNOT seen with both qubits pending commutes through the
+    pair by swapping control and target, with neither pending it passes
+    unchanged, and a mixed state has no such normal form.  On success
+    the input equals ``dense(H on h_mask) @ dense(network)``.
+    """
+    pending = 0
+    network: list[tuple[int, int]] = []
+    for g in circuit.gates:
+        if g.kind == "h":
+            pending ^= 1 << g.qubits[0]
+        elif g.kind == "cx":
+            c, t = g.qubits
+            ci, ti = bool(pending >> c & 1), bool(pending >> t & 1)
+            if ci != ti:
+                raise NotReducible(f"pending Hadamard straddles cx({c},{t})")
+            network.append((t, c) if ci else (c, t))
+        else:
+            raise NonHCnotGate(f"gate kind {g.kind!r} is not H or CNOT")
+    h_mask = frozenset(q for q in range(circuit.n) if pending >> q & 1)
+    return h_mask, tuple(network)
 
 
 def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:

@@ -87,10 +87,6 @@ class Circuit:
         return len(self.gates)
 
 
-def inverse_circuit(c: Circuit) -> Circuit:
-    return Circuit(c.n, tuple(inverse(g) for g in reversed(c.gates)))
-
-
 def cnot_count(c: Circuit) -> int:
     """Number of CNOT gates."""
     return sum(1 for g in c.gates if g.kind == "cx")
@@ -218,27 +214,4 @@ def parse_qasm(text: str) -> Circuit:
         raise SchemaError(f"unsupported qasm statement: {stmt!r}")
     if n is None:
         raise SchemaError("qasm text lacks a qreg declaration")
-    return Circuit(n, tuple(gates))
-
-
-def to_json_gates(c: Circuit) -> list[dict]:
-    """Gate-list form [{"g": "h", "q": [0]}, ...] shared with reports."""
-    out = []
-    for g in c.gates:
-        entry: dict = {"g": g.kind, "q": list(g.qubits)}
-        if g.kind == "rz":
-            entry["theta"] = g.theta
-        out.append(entry)
-    return out
-
-
-def from_json_gates(n: int, data: list[dict]) -> Circuit:
-    gates = []
-    for entry in data:
-        kind = entry.get("g")
-        qubits = tuple(entry.get("q", ()))
-        if kind == "rz":
-            gates.append(rz(qubits[0], entry["theta"]))
-        else:
-            gates.append(Gate(kind, qubits))
     return Circuit(n, tuple(gates))

@@ -19,13 +19,15 @@ from pathlib import Path
 from .absorb import (
     CountsHistogram,
     ProbabilityAbsorption,
+    TransformedObservable,
     absorb_observables,
     absorb_probabilities,
     apply_network,
+    map_expectations,
     postprocess_counts,
 )
 from .circuit import Circuit, cnot_count, emit_qasm, entangling_depth, h, parse_qasm, peephole
-from .errors import CliffexError, NonHCnotGate, NotReducible, TooLarge
+from .errors import CliffexError, NonHCnotGate, NotReducible, SchemaError, TooLarge
 from .extract import extract, native_circuit
 from .oracle import circuit_unitary, equivalent_up_to_phase, expectation, probabilities
 from .pauli import parse_pauli
@@ -197,21 +199,31 @@ def cmd_postprocess(args) -> int:
     return OK
 
 
-def cmd_map_expectations(args) -> int:
-    report = _load_report(args.report)
+def _observable_records(report) -> list[TransformedObservable]:
+    """The report's observable section as records (basis layers are not
+    needed to read it back)."""
     if "observables" not in report:
         raise CliffexError("report lacks an 'observables' section (observable mode)")
+    records = []
+    for k, rec in enumerate(report["observables"]):
+        for key in ("original", "transformed"):
+            if key not in rec:
+                raise SchemaError(f'report observables[{k}] lacks "{key}"')
+        records.append(
+            TransformedObservable(parse_pauli(rec["original"]), parse_pauli(rec["transformed"]), ())
+        )
+    return records
+
+
+def cmd_map_expectations(args) -> int:
+    records = _observable_records(_load_report(args.report))
     try:
         with open(args.values, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliffexError(f"cannot read values {args.values}: {exc}") from exc
     values = data["values"] if isinstance(data, dict) else data
-    records = report["observables"]
-    if len(values) != len(records):
-        raise CliffexError(f"{len(values)} values vs {len(records)} observables")
-    signs = [-1.0 if r["transformed"].startswith("-") else 1.0 for r in records]
-    mapped = [s * float(v) for s, v in zip(signs, values)]
+    mapped = map_expectations(records, values)
     _write_json(args.out, {"values": mapped})
     print(f"mapped {len(mapped)} expectation values to {args.out}")
     return OK
@@ -247,17 +259,15 @@ def cmd_verify(args) -> int:
 
     if report["mode"] == "observables":
         ok = True
-        for rec in report["observables"]:
-            transformed = parse_pauli(rec["transformed"])
-            unsigned = parse_pauli(transformed.letters())
-            lhs = expectation(native, parse_pauli(rec["original"]), cap)
-            rhs = transformed.sign * expectation(opt, unsigned, cap)
+        for rec in _observable_records(report):
+            unsigned = parse_pauli(rec.transformed.letters())
+            lhs = expectation(native, rec.original, cap)
+            rhs = rec.transformed.sign * expectation(opt, unsigned, cap)
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
     else:
-        mask = report["absorption"]["h_mask"]
         network = [tuple(e) for e in report["absorption"]["network"]]
-        executed = Circuit(opt.n, opt.gates + tuple(h(q) for q in mask))
+        executed = parse_qasm(Path(report["artifacts"]["executed"][0]).read_text(encoding="utf-8"))
         p_full = probabilities(native, cap)
         p_exec = probabilities(executed, cap)
         ok = True

@@ -21,24 +21,16 @@ the group root.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import EmptyTree, MixedQubitCounts
-from .pauli import PauliString, PauliTerm
-from .tableau import ConjugationTableau, identity_tableau
+from .pauli import PauliString, PauliTerm, _letter_at, _support
+from .tableau import ConjugationTableau
 
 _ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
 _GROUP_ORDER = ("X", "Y", "Z", "I")
-
-
-@dataclass
-class CommuteBlock:
-    """Maximal consecutive run of mutually commuting terms.  Terms may be
-    reordered inside a block; block boundaries never move."""
-
-    terms: list[PauliTerm] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -49,14 +41,16 @@ class ExtractionResult:
     stats: dict
 
 
-def convert_commute_sets(terms: list[PauliTerm]) -> list[CommuteBlock]:
-    """Greedy left-to-right partition: a term joins the current block iff
-    it commutes with every member, otherwise it starts a new block."""
+def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
+    """Greedy left-to-right partition into maximal consecutive runs of
+    mutually commuting terms: a term joins the current block iff it
+    commutes with every member, otherwise it starts a new block.  Terms
+    may be reordered inside a block; block boundaries never move."""
     terms = list(terms)
     if not terms:
         raise ValueError("cannot partition an empty term list")
     n = terms[0].pauli.n
-    blocks: list[CommuteBlock] = []
+    blocks: list[list[PauliTerm]] = []
     cur: list[PauliTerm] = []
     for k, t in enumerate(terms):
         if t.pauli.n != n:
@@ -68,23 +62,10 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[CommuteBlock]:
         ):
             cur.append(t)
         else:
-            blocks.append(CommuteBlock(cur))
+            blocks.append(cur)
             cur = [t]
-    blocks.append(CommuteBlock(cur))
+    blocks.append(cur)
     return blocks
-
-
-def _letter_at(x: int, z: int, q: int) -> str:
-    return "IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)]
-
-
-def _support(mask: int) -> list[int]:
-    out = []
-    while mask:
-        q = (mask & -mask).bit_length() - 1
-        out.append(q)
-        mask &= mask - 1
-    return out
 
 
 def _h_bits(bx: int, bz: int, q: int) -> tuple[int, int]:
@@ -259,18 +240,6 @@ def _score_candidates(terms, i, tableau, px, pz):
     return best_j
 
 
-def find_next_pauli(block, pauli_idx: int, tableau: ConjugationTableau) -> int:
-    """Pick the best successor for ``block[pauli_idx]`` among later block
-    positions; ties break toward the smallest index.  With no candidates
-    the untouched ``pauli_idx + 1`` is returned."""
-    terms = block.terms if isinstance(block, CommuteBlock) else list(block)
-    if pauli_idx + 1 >= len(terms):
-        return pauli_idx + 1
-    cur = terms[pauli_idx].pauli
-    px, pz, _ = tableau.conj_raw(cur.x, cur.z, cur.sign)
-    return _score_candidates(terms, pauli_idx, tableau, px, pz)
-
-
 def extract(terms) -> ExtractionResult:
     """Compile a list of Pauli rotations into an optimized circuit plus
     the Clifford circuit extracted to its end.
@@ -299,7 +268,7 @@ def extract(terms) -> ExtractionResult:
             )
             skipped += 1
 
-    tab = identity_tableau(n)
+    tab = ConjugationTableau(n)
     gates: list[Gate] = []
     emitted_order: list[int] = []
     weights: list[int] = []
@@ -308,11 +277,11 @@ def extract(terms) -> ExtractionResult:
 
     pos = 0
     for bi, block in enumerate(blocks):
-        work = list(zip(kept_idx[pos : pos + len(block.terms)], block.terms))
-        pos += len(block.terms)
+        work = list(zip(kept_idx[pos : pos + len(block)], block))
+        pos += len(block)
         # guidance may run past the block: later blocks keep their input
         # order until their own turn, so their strings are usable as-is
-        tail = [t.pauli for b in blocks[bi + 1 :] for t in b.terms]
+        tail = [t.pauli for b in blocks[bi + 1 :] for t in b]
         for i in range(len(work)):
             orig_idx, term = work[i]
             px, pz, psign = tab.conj_raw(term.pauli.x, term.pauli.z, term.pauli.sign)
@@ -322,16 +291,9 @@ def extract(terms) -> ExtractionResult:
                     work.insert(i + 1, work.pop(j))
                     reorders += 1
             supp = _support(px | pz)
-            for q in supp:
-                letter = _letter_at(px, pz, q)
-                if letter == "X":
-                    gates.append(h(q))
-                    tab.append_gate(gates[-1])
-                elif letter == "Y":
-                    gates.append(sdg(q))
-                    tab.append_gate(gates[-1])
-                    gates.append(h(q))
-                    tab.append_gate(gates[-1])
+            for g in basis_change_gates(PauliString(n, px, pz)):
+                gates.append(g)
+                tab.append_gate(g)
             seq = [t.pauli for _, t in work] + tail
             tree, root = tree_synthesis(seq, i, supp, tab, recursive=True)
             for g in tree:
@@ -344,7 +306,7 @@ def extract(terms) -> ExtractionResult:
     stats = {
         "rotations": len(emitted_order),
         "blocks": len(blocks),
-        "block_sizes": tuple(len(b.terms) for b in blocks),
+        "block_sizes": tuple(len(b) for b in blocks),
         "reorders": reorders,
         "skipped_identity_terms": skipped,
         "emitted_order": tuple(emitted_order),

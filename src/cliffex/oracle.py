@@ -127,8 +127,3 @@ def equivalent_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     mag = abs(phase)
     phase = phase / mag if mag > 0 else 1.0
     return bool(np.max(np.abs(u - phase * v)) <= tol)
-
-
-def bitstring(index: int, n: int) -> str:
-    """Bitstring for a basis-state index (character q is qubit q)."""
-    return format(index, f"0{n}b")

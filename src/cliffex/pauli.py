@@ -19,6 +19,36 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = "IXZY"
 
 
+def _letter_at(x: int, z: int, q: int) -> str:
+    """Letter on qubit q of the raw masks (x, z)."""
+    return _BITS_LETTER[((x >> q) & 1) + 2 * ((z >> q) & 1)]
+
+
+def _support(mask: int) -> list[int]:
+    """Set bits of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        q = (mask & -mask).bit_length() - 1
+        out.append(q)
+        mask &= mask - 1
+    return out
+
+
+def _product_phase(ax: int, az: int, bx: int, bz: int) -> int:
+    """Exponent-of-i contribution of multiplying letter masks a*b:
+    cyclic letter pairs (XY, YZ, ZX) contribute +1, anticyclic -1."""
+    x1, y1, z1 = ax & ~az, ax & az, az & ~ax
+    x2, y2, z2 = bx & ~bz, bx & bz, bz & ~bx
+    return (
+        (x1 & y2).bit_count()
+        + (y1 & z2).bit_count()
+        + (z1 & x2).bit_count()
+        - (y1 & x2).bit_count()
+        - (z1 & y2).bit_count()
+        - (x1 & z2).bit_count()
+    )
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Hermitian Pauli word with a +/-1 sign (no +/-i phases)."""
@@ -58,7 +88,7 @@ class PauliString:
         return cls(len(text), x, z, sign)
 
     def letter(self, q: int) -> str:
-        return _BITS_LETTER[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)]
+        return _letter_at(self.x, self.z, q)
 
     def letters(self) -> str:
         """Unsigned word, leftmost character is qubit 0."""
@@ -72,8 +102,7 @@ class PauliString:
         return (self.x | self.z).bit_count()
 
     def support(self) -> tuple[int, ...]:
-        m = self.x | self.z
-        return tuple(q for q in range(self.n) if (m >> q) & 1)
+        return tuple(_support(self.x | self.z))
 
     def commutes(self, other: "PauliString") -> bool:
         if self.n != other.n:
@@ -101,16 +130,6 @@ def parse_pauli(text: str) -> PauliString:
     return PauliString.from_label(text)
 
 
-def weight(p: PauliString) -> int:
-    """Number of non-identity letters."""
-    return p.weight()
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the strings commute (symplectic product is zero)."""
-    return p.commutes(q)
-
-
 def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """Product ``p*q`` as ``i**k * result`` with an unsigned result.
 
@@ -119,20 +138,9 @@ def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """
     if p.n != q.n:
         raise LengthMismatch(f"cannot multiply {p.n}- and {q.n}-qubit strings")
-    x1, z1, x2, z2 = p.x, p.z, q.x, q.z
-    ex1, wy1, ez1 = x1 & ~z1, x1 & z1, z1 & ~x1
-    ex2, wy2, ez2 = x2 & ~z2, x2 & z2, z2 & ~x2
-    # cyclic letter pairs (XY, YZ, ZX) contribute +1, anticyclic -1
-    k = (
-        (ex1 & wy2).bit_count()
-        + (wy1 & ez2).bit_count()
-        + (ez1 & ex2).bit_count()
-        - (wy1 & ex2).bit_count()
-        - (ez1 & wy2).bit_count()
-        - (ex1 & ez2).bit_count()
-    )
+    k = _product_phase(p.x, p.z, q.x, q.z)
     if p.sign < 0:
         k += 2
     if q.sign < 0:
         k += 2
-    return PauliString(p.n, x1 ^ x2, z1 ^ z2, 1), k & 3
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, 1), k & 3

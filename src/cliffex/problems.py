@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InfeasibleDegree, LengthMismatch, SchemaError
+from .errors import InfeasibleDegree, InvalidSize, LengthMismatch, SchemaError
 from .pauli import PauliString, PauliTerm, parse_pauli
 
 
@@ -40,11 +40,13 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in ("maxcut_regular", "maxcut_random", "labs"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        if self.n < 1:
+            raise InvalidSize(f"node count must be positive, got {self.n}")
         if self.layers < 1:
-            raise ValueError("layer count must be positive")
+            raise InvalidSize("layer count must be positive")
         for name, lst in (("gammas", self.gammas), ("betas", self.betas)):
             if lst is not None and len(lst) != self.layers:
-                raise ValueError(f"{name} must have one entry per layer")
+                raise InvalidSize(f"{name} must have one entry per layer")
         if self.kind == "maxcut_regular":
             if self.degree is None or self.degree < 1 or self.degree >= self.n:
                 raise InfeasibleDegree(f"degree {self.degree} infeasible on {self.n} nodes")
@@ -55,7 +57,7 @@ class ProblemSpec:
         if self.kind == "maxcut_random":
             limit = self.n * (self.n - 1) // 2
             if self.edges is None or not 0 <= self.edges <= limit:
-                raise ValueError(f"edge count must lie in [0, {limit}]")
+                raise InvalidSize(f"edge count must lie in [0, {limit}]")
 
 
 def _regular_graph(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
@@ -135,13 +137,13 @@ def gen_labs(
     Each merged term's coefficient is gamma times its multiplicity.
     """
     if n < 3:
-        raise ValueError("need at least 3 qubits")
+        raise InvalidSize("need at least 3 qubits")
     if layers < 1:
-        raise ValueError("layer count must be positive")
+        raise InvalidSize("layer count must be positive")
     gammas = gammas or default_gammas(layers)
     betas = betas or default_betas(layers)
     if len(gammas) != layers or len(betas) != layers:
-        raise ValueError("need one gamma and one beta per layer")
+        raise InvalidSize("need one gamma and one beta per layer")
     mult: dict[int, int] = {}
     for k in range(1, n):
         pairs = [((1 << i) | (1 << (i + k))) for i in range(n - k)]

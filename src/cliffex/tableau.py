@@ -10,22 +10,8 @@ string is then a phase-tracked product of the rows selected by its bits.
 from __future__ import annotations
 
 from .circuit import Circuit, Gate, inverse
-from .errors import InvalidSize, LengthMismatch, NonHCnotGate, NotReducible
-from .pauli import PauliString
-
-
-def _product_phase(ax: int, az: int, bx: int, bz: int) -> int:
-    """Exponent-of-i contribution of multiplying letter masks a*b."""
-    x1, y1, z1 = ax & ~az, ax & az, az & ~ax
-    x2, y2, z2 = bx & ~bz, bx & bz, bz & ~bx
-    return (
-        (x1 & y2).bit_count()
-        + (y1 & z2).bit_count()
-        + (z1 & x2).bit_count()
-        - (y1 & x2).bit_count()
-        - (z1 & y2).bit_count()
-        - (x1 & z2).bit_count()
-    )
+from .errors import InvalidSize, LengthMismatch
+from .pauli import PauliString, _product_phase
 
 
 class ConjugationTableau:
@@ -138,35 +124,3 @@ class ConjugationTableau:
         """The inverse of the accumulated map as a circuit: the gate log
         reversed with each gate inverted."""
         return Circuit(self.n, tuple(inverse(g) for g in reversed(self._log)))
-
-
-def identity_tableau(n: int) -> ConjugationTableau:
-    """Tableau with X_q -> X_q, Z_q -> Z_q and an empty gate log."""
-    return ConjugationTableau(n)
-
-
-def decompose_h_cnot(circuit: Circuit) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
-    """Collapse every Hadamard of an H+CNOT circuit into a single layer,
-    leaving a pure CNOT network.
-
-    Sweeps the gates in time order with a pending-Hadamard set: H(q)
-    toggles q, a CNOT seen with both qubits pending commutes through the
-    pair by swapping control and target, with neither pending it passes
-    unchanged, and a mixed state has no such normal form.  On success
-    the input equals ``dense(H on h_mask) @ dense(network)``.
-    """
-    pending = 0
-    network: list[tuple[int, int]] = []
-    for g in circuit.gates:
-        if g.kind == "h":
-            pending ^= 1 << g.qubits[0]
-        elif g.kind == "cx":
-            c, t = g.qubits
-            ci, ti = bool(pending >> c & 1), bool(pending >> t & 1)
-            if ci != ti:
-                raise NotReducible(f"pending Hadamard straddles cx({c},{t})")
-            network.append((t, c) if ci else (c, t))
-        else:
-            raise NonHCnotGate(f"gate kind {g.kind!r} is not H or CNOT")
-    h_mask = frozenset(q for q in range(circuit.n) if pending >> q & 1)
-    return h_mask, tuple(network)

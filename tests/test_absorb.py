@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import (
     Circuit,
@@ -20,7 +22,7 @@ from cliffex.absorb import ProbabilityAbsorption
 from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, expectation, probabilities
 from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import identity_tableau
+from cliffex.tableau import ConjugationTableau
 
 
 def term(text, coeff):
@@ -41,7 +43,7 @@ def _random_terms(rng, n, m):
 
 
 def test_identity_observable_untouched():
-    tab = identity_tableau(3)
+    tab = ConjugationTableau(3)
     tab.append_gate(cx(0, 1))
     rec = absorb_observables(tab, [parse_pauli("III")])[0]
     assert rec.transformed.label() == "III"
@@ -49,7 +51,7 @@ def test_identity_observable_untouched():
 
 
 def test_hadamard_all_flips_z_to_x():
-    tab = identity_tableau(3)
+    tab = ConjugationTableau(3)
     for q in range(3):
         tab.append_gate(h(q))
     rec = absorb_observables(tab, [parse_pauli("ZZZ")])[0]
@@ -58,7 +60,7 @@ def test_hadamard_all_flips_z_to_x():
 
 def test_observable_length_mismatch():
     with pytest.raises(LengthMismatch):
-        absorb_observables(identity_tableau(2), [parse_pauli("Z")])
+        absorb_observables(ConjugationTableau(2), [parse_pauli("Z")])
 
 
 def test_basis_layer_rotates_transformed_to_z():
@@ -66,9 +68,9 @@ def test_basis_layer_rotates_transformed_to_z():
     for _ in range(30):
         n = int(rng.integers(1, 6))
         word = "".join(rng.choice(list("IXYZ"), size=n))
-        tab = identity_tableau(n)
+        tab = ConjugationTableau(n)
         rec = absorb_observables(tab, [parse_pauli(word)])[0]
-        layer = identity_tableau(n)
+        layer = ConjugationTableau(n)
         for g in rec.basis_layer:
             layer.append_gate(g)
         z_only = parse_pauli(
@@ -139,6 +141,8 @@ def test_absorb_empty_circuit():
 def test_absorb_rejects_uncombinable():
     with pytest.raises(NotReducible):
         absorb_probabilities(Circuit(2, (h(0), cx(0, 1))))
+    with pytest.raises(NotReducible):
+        absorb_probabilities(Circuit(2, (cx(0, 1), h(0))))
     with pytest.raises(NonHCnotGate):
         absorb_probabilities(Circuit(2, (s(0),)))
 
@@ -165,6 +169,28 @@ def test_measurement_side_network_matches_dense():
         layer = circuit_unitary(Circuit(n, tuple(h(q) for q in sorted(pa.h_mask))))
         net = circuit_unitary(Circuit(n, tuple(cx(c, t) for c, t in pa.network)))
         assert equivalent_up_to_phase(net @ layer, circuit_unitary(circ), 1e-12)
+
+
+@st.composite
+def _h_cx_circuits(draw):
+    n = draw(st.integers(2, 5))
+    qubit = st.integers(0, n - 1)
+    pair = st.tuples(qubit, qubit).filter(lambda ct: ct[0] != ct[1]).map(lambda ct: cx(*ct))
+    return Circuit(n, tuple(draw(st.lists(st.one_of(qubit.map(h), pair), max_size=12))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_h_cx_circuits())
+def test_absorb_probabilities_refuses_or_is_exact(circ):
+    # only NotReducible may escape; a result must run as H layer, then network
+    try:
+        pa = absorb_probabilities(circ)
+    except NotReducible:
+        return
+    gates = tuple(h(q) for q in sorted(pa.h_mask)) + tuple(cx(c, t) for c, t in pa.network)
+    assert equivalent_up_to_phase(
+        circuit_unitary(Circuit(circ.n, gates)), circuit_unitary(circ), 1e-12
+    )
 
 
 def test_postprocess_examples():
@@ -230,7 +256,7 @@ def test_probability_distribution_equality_qaoa_form():
 
 
 def test_map_expectations():
-    tab = identity_tableau(1)
+    tab = ConjugationTableau(1)
     tab.append_gate(s(0))
     recs = absorb_observables(tab, [parse_pauli("Y"), parse_pauli("Z")])
     assert recs[0].transformed.sign == -1

@@ -32,7 +32,7 @@ from cliffex.oracle import (
 )
 from cliffex.pauli import PauliTerm
 from cliffex.problems import ProblemSpec
-from cliffex.tableau import identity_tableau
+from cliffex.tableau import ConjugationTableau
 
 TRIANGLE_WORDS = ("ZZI", "IZZ", "ZIZ", "XII", "IXI", "IIX")
 
@@ -76,7 +76,7 @@ def test_guided_tree_fixture_strings():
     p1 = parse_pauli("YZXXYZZ")
     p2 = parse_pauli("YZXIZYX")
     p3 = parse_pauli("XZYZIYX")
-    tab = identity_tableau(7)
+    tab = ConjugationTableau(7)
     for g in basis_change_gates(p1):
         tab.append_gate(g)
     p2p, p3p = tab.conjugate(p2), tab.conjugate(p3)
@@ -84,13 +84,13 @@ def test_guided_tree_fixture_strings():
     signs = f"signs: {p2p.sign:+d}, {p3p.sign:+d}"
 
     gates_nr, _ = tree_synthesis([p1, p2], 0, range(7), tab, recursive=False)
-    t_nr = identity_tableau(7)
+    t_nr = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates_nr:
         t_nr.append_gate(g)
     ok = ok and t_nr.conjugate(p2).letters() == "IIIIXYX"
 
     gates_r, _ = tree_synthesis([p1, p2, p3], 0, range(7), tab, recursive=True)
-    t_r = identity_tableau(7)
+    t_r = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates_r:
         t_r.append_gate(g)
     ok = ok and t_r.conjugate(p3).letters() == "IIXXIYX"
@@ -105,7 +105,7 @@ def test_cnot_conjugation_table():
         "YI": "YX", "YX": "YI", "YY": "XZ", "YZ": "XY",
         "ZI": "ZI", "ZX": "ZX", "ZY": "IY", "ZZ": "IZ",
     }
-    tab = identity_tableau(2)
+    tab = ConjugationTableau(2)
     tab.append_gate(cx(0, 1))
     d = circuit_unitary(Circuit(2, (cx(0, 1),)))
     ok = True

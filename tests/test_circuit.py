@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cliffex import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, rz, s, sdg
-from cliffex.circuit import Gate, from_json_gates, inverse, to_json_gates
+from cliffex.circuit import Gate, inverse
 from cliffex.errors import SchemaError
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase
 
@@ -116,11 +116,6 @@ def test_parse_qasm_rejects_unknown():
         parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nt q[0];\n')
     with pytest.raises(SchemaError):
         parse_qasm("h q[0];\n")
-
-
-def test_json_gate_roundtrip():
-    c = Circuit(3, (h(0), cx(0, 1), rz(2, -0.25), sdg(1)))
-    assert from_json_gates(3, to_json_gates(c)) == c
 
 
 def test_inverse():

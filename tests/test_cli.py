@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,6 +61,22 @@ def test_gen_counts(tmp_path):
 
 def test_gen_infeasible_degree(tmp_path):
     assert run("gen", "maxcut", "--nodes", 3, "--degree", 3, "--out", tmp_path / "x.json") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "labs", "--n", 2),
+        ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--layers", 0),
+        ("gen", "maxcut", "--nodes", 6, "--edges", 99),
+        ("gen", "maxcut", "--nodes", 0, "--edges", 0),
+    ],
+)
+def test_gen_parameter_errors_exit_2(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_optimize_observables(tmp_path, two_rotation_input):
@@ -176,6 +193,20 @@ def test_map_expectations(tmp_path):
     assert json.loads(out.read_text())["values"] == [-0.5]
 
 
+@pytest.mark.parametrize("key", ["original", "transformed"])
+def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_input, key):
+    assert run(*_opt_args(tmp_path, two_rotation_input)) == 0
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    del report["observables"][0][key]
+    write_json(report_path, report)
+    values = write_json(tmp_path / "values.json", {"values": [0.5]})
+    capsys.readouterr()
+    assert run("map-expectations", values, "--report", report_path, "--out", tmp_path / "m.json") == 2
+    assert run("verify", two_rotation_input, "--report", report_path) == 2
+    assert capsys.readouterr().err.count(f'lacks "{key}"') == 2
+
+
 def test_optimize_is_byte_deterministic(tmp_path, triangle_input):
     outputs = []
     for tag in ("a", "b"):
@@ -198,3 +229,60 @@ def test_malformed_input_exits_2(tmp_path):
 
 def test_missing_file_exits_2(tmp_path):
     assert run("optimize", tmp_path / "absent.json") == 2
+
+
+# sha256 of every emitted file and of report["metrics"] (canonical JSON).
+# A refactor must leave these unchanged; only a deliberate change to the
+# compiler's output may update them.
+GOLDEN = {
+    "triangle": {
+        "opt": "fd44f848f16e41055c8119c9754d330ee96bde19a52278b1b202d668ac72b11d",
+        "clifford": "068629424fa738d5edb9bd24e227c33f82c70bd845cf1766b47c7108672cbbfa",
+        "executed": ["dc1105980314f14d80299e7ee25dc470f12ea513da4167c574d3e36567c53211"],
+        "metrics": "59626ae490459bbe24730ac731bfebb1f0473a689b69920373997acd3e5a2fe8",
+    },
+    "labs8": {
+        "opt": "5e05b85dda493cd90339940eb192d0e5cdf2e0561ac75f8bcdf2d1928817a826",
+        "clifford": "4099b980d4068fa3ea753da54485a369e947ba28a2a1e1b42ee9a7da75ee5331",
+        "executed": ["d9a2b9b5560064aae8758fba1ca20c0a850d72c5ae525260ba623827887ed58c"],
+        "metrics": "d3397c3294d6d06f8f697d8013e5786f99f4c454578eeebcec33d58e44e63c22",
+    },
+    "xyz": {
+        "opt": "7dc2861b66b773886f7c85b459dfe4f53be64722b288b3e2e00f988a470b91b7",
+        "clifford": "8a246ae445d1b581dd4e0feabddfa92c5e46884929a9888e1dde76b7e18dd9dc",
+        "executed": [
+            "bde731e48565cf0d1ceef57443ce8035dbf748e13563023f2a250e5b098067d4",
+            "d3d2eb8502446068d31115a93551077f0c9f0132087dd3251dec4c2bf02d31cd",
+            "5140df68c31423a8f5cbf3beb5ada172d12c38890197ebd7bb892b71c76e4ce9",
+        ],
+        "metrics": "bc7164b89f0ff70dbce92b38cb1f88176a3ac76a9f5867fd84d4e1fd831d8905",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, triangle_input, name):
+    if name == "triangle":
+        inp = triangle_input
+    elif name == "labs8":
+        inp = tmp_path / "labs8.json"
+        assert run("gen", "labs", "--n", 8, "--out", inp) == 0
+    else:
+        inp = write_json(tmp_path / "xyz.json", {
+            "num_qubits": 4,
+            "terms": [{"pauli": "ZZZZ", "coeff": 0.31}, {"pauli": "YYXX", "coeff": -0.7},
+                      {"pauli": "XIZY", "coeff": 0.2}, {"pauli": "IXYZ", "coeff": -0.45}],
+            "observables": ["XXZZ", "ZIIY", "-YXZI"],
+        })
+    assert run(*_opt_args(tmp_path, inp)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {
+        "opt": _sha((tmp_path / "opt.qasm").read_bytes()),
+        "clifford": _sha((tmp_path / "clifford.qasm").read_bytes()),
+        "executed": [_sha(Path(p).read_bytes()) for p in report["artifacts"]["executed"]],
+        "metrics": _sha(json.dumps(report["metrics"], sort_keys=True).encode()),
+    } == GOLDEN[name]

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from cliffex import (
-    CommuteBlock,
     cnot_count,
     convert_commute_sets,
     cx,
     extract,
-    find_next_pauli,
     native_circuit,
     parse_pauli,
     rz,
@@ -19,7 +17,7 @@ from cliffex.errors import EmptyTree, MixedQubitCounts
 from cliffex.extract import basis_change_gates
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, rotation_unitary
 from cliffex.pauli import PauliTerm
-from cliffex.tableau import identity_tableau
+from cliffex.tableau import ConjugationTableau
 
 
 def term(text, coeff=0.5):
@@ -54,16 +52,16 @@ def _roundtrip_ok(terms, result, tol=1e-9):
 
 def test_commute_blocks_pairs():
     blocks = convert_commute_sets([term("ZZZZ"), term("YYXX")])
-    assert [len(b.terms) for b in blocks] == [2]
+    assert [len(b) for b in blocks] == [2]
     blocks = convert_commute_sets([term("Z"), term("X")])
-    assert [len(b.terms) for b in blocks] == [1, 1]
+    assert [len(b) for b in blocks] == [1, 1]
 
 
 def test_commute_blocks_triangle():
     seq = [term(w) for w in ("ZZI", "IZZ", "ZIZ", "XII", "IXI", "IIX")]
     blocks = convert_commute_sets(seq)
-    assert [len(b.terms) for b in blocks] == [3, 3]
-    assert [t.pauli.label() for t in blocks[0].terms] == ["ZZI", "IZZ", "ZIZ"]
+    assert [len(b) for b in blocks] == [3, 3]
+    assert [t.pauli.label() for t in blocks[0]] == ["ZZI", "IZZ", "ZIZ"]
 
 
 def test_commute_blocks_mixed_counts():
@@ -79,7 +77,7 @@ def seven_qubit_setup():
     p1 = parse_pauli("YZXXYZZ")
     p2 = parse_pauli("YZXIZYX")
     p3 = parse_pauli("XZYZIYX")
-    tab = identity_tableau(7)
+    tab = ConjugationTableau(7)
     for g in basis_change_gates(p1):
         tab.append_gate(g)
     return p1, p2, p3, tab
@@ -98,7 +96,7 @@ def test_nonrecursive_tree(seven_qubit_setup):
     gates, root = tree_synthesis([p1, p2], 0, range(7), tab, recursive=False)
     assert len(gates) == 6
     assert root == 4
-    after = identity_tableau(7)
+    after = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates:
         after.append_gate(g)
     assert after.conjugate(p2).letters() == "IIIIXYX"
@@ -110,7 +108,7 @@ def test_recursive_tree(seven_qubit_setup):
     p1, p2, p3, tab = seven_qubit_setup
     gates, root = tree_synthesis([p1, p2, p3], 0, range(7), tab, recursive=True)
     assert len(gates) == 6
-    after = identity_tableau(7)
+    after = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates:
         after.append_gate(g)
     assert after.conjugate(p2).letters() == "IIIIXYX"
@@ -142,42 +140,41 @@ def test_tree_is_spanning(seven_qubit_setup):
 
 
 def test_tree_singleton():
-    tab = identity_tableau(6)
+    tab = ConjugationTableau(6)
     gates, root = tree_synthesis([parse_pauli("IIIIIZ")], 0, [5], tab)
     assert gates == [] and root == 5
 
 
 def test_tree_empty_raises():
     with pytest.raises(EmptyTree):
-        tree_synthesis([parse_pauli("Z")], 0, [], identity_tableau(1))
+        tree_synthesis([parse_pauli("Z")], 0, [], ConjugationTableau(1))
 
 
 # ------------------------------------------------------- candidate choice
 
 
+def _schedule(words):
+    stats = extract([term(w) for w in words]).stats
+    return stats["emitted_order"], stats["reorders"]
+
+
 def test_find_next_sole_candidate():
-    block = CommuteBlock([term("ZZZZ"), term("YYXX")])
-    assert find_next_pauli(block, 0, identity_tableau(4)) == 1
+    assert _schedule(["ZZZZ", "YYXX"]) == ((0, 1), 0)
 
 
 def test_find_next_no_candidates():
-    block = CommuteBlock([term("ZZ")])
-    assert find_next_pauli(block, 0, identity_tableau(2)) == 1
+    # anticommuting neighbours: every block is a singleton
+    assert _schedule(["ZI", "XI"]) == ((0, 1), 0)
 
 
 def test_find_next_ties_break_low():
-    block = CommuteBlock([term("ZZ"), term("ZI"), term("IZ")])
-    assert find_next_pauli(block, 0, identity_tableau(2)) == 1
+    # ZI and IZ both end at weight 1 behind the ZZ tree
+    assert _schedule(["ZZ", "ZI", "IZ"]) == ((0, 1, 2), 0)
 
 
 def test_find_next_prefers_lighter_result():
     # conjugating the duplicate edge through its own chain leaves weight 1
-    block = CommuteBlock([term("ZZII"), term("IIZZ"), term("ZZII")])
-    tab = identity_tableau(4)
-    assert find_next_pauli(block, 0, tab) == 2
-    res = extract(block.terms)
-    assert res.stats["emitted_order"] == (0, 2, 1)
-    assert res.stats["reorders"] == 1
+    assert _schedule(["ZZII", "IIZZ", "ZZII"]) == ((0, 2, 1), 1)
 
 
 # ----------------------------------------------------------- extraction
@@ -249,9 +246,9 @@ def test_extract_schedule_is_block_permutation():
         order = list(res.stats["emitted_order"])
         start = 0
         for b in blocks:
-            chunk = order[start : start + len(b.terms)]
-            assert sorted(chunk) == list(range(start, start + len(b.terms)))
-            start += len(b.terms)
+            chunk = order[start : start + len(b)]
+            assert sorted(chunk) == list(range(start, start + len(b)))
+            start += len(b)
 
 
 def test_extract_deterministic():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cliffex import PauliString, PauliTerm, commutes, multiply, parse_pauli, weight
+from cliffex import PauliString, PauliTerm, multiply, parse_pauli
 from cliffex.errors import InvalidLetter, LengthMismatch
 from cliffex.oracle import dense_pauli
 
@@ -41,20 +41,20 @@ def test_label_roundtrip():
 
 
 def test_weight_examples():
-    assert weight(parse_pauli("ZZZIXYX")) == 6
-    assert weight(parse_pauli("IIII")) == 0
-    assert weight(parse_pauli("IIIIXYX")) == 3
+    assert parse_pauli("ZZZIXYX").weight() == 6
+    assert parse_pauli("IIII").weight() == 0
+    assert parse_pauli("IIIIXYX").weight() == 3
 
 
 def test_commutes_examples():
-    assert not commutes(parse_pauli("X"), parse_pauli("Z"))
-    assert commutes(parse_pauli("ZZZZ"), parse_pauli("YYXX"))
-    assert not commutes(parse_pauli("XII"), parse_pauli("ZZI"))
+    assert not parse_pauli("X").commutes(parse_pauli("Z"))
+    assert parse_pauli("ZZZZ").commutes(parse_pauli("YYXX"))
+    assert not parse_pauli("XII").commutes(parse_pauli("ZZI"))
 
 
 def test_commutes_mismatch():
     with pytest.raises(LengthMismatch):
-        commutes(parse_pauli("X"), parse_pauli("XX"))
+        parse_pauli("X").commutes(parse_pauli("XX"))
 
 
 def _dense_commutator_zero(p, q):
@@ -68,7 +68,7 @@ def test_commutes_matches_dense_exhaustive():
         for aw in itertools.product("IXYZ", repeat=n):
             for bw in itertools.product("IXYZ", repeat=n):
                 p, q = parse_pauli("".join(aw)), parse_pauli("".join(bw))
-                assert commutes(p, q) == _dense_commutator_zero(p, q)
+                assert p.commutes(q) == _dense_commutator_zero(p, q)
 
 
 def test_commutes_matches_dense_random():
@@ -78,7 +78,7 @@ def test_commutes_matches_dense_random():
         p = parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
         q = parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
         if n <= 8:
-            assert commutes(p, q) == _dense_commutator_zero(p, q)
+            assert p.commutes(q) == _dense_commutator_zero(p, q)
 
 
 def test_multiply_examples():

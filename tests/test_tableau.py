@@ -4,7 +4,8 @@ import pytest
 from cliffex import Circuit, cx, h, parse_pauli, rz, s, sdg
 from cliffex.errors import InvalidSize, LengthMismatch, NonHCnotGate, NotReducible
 from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
-from cliffex.tableau import decompose_h_cnot, identity_tableau
+from cliffex.absorb import decompose_h_cnot
+from cliffex.tableau import ConjugationTableau
 
 
 def _random_clifford_log(rng, n, length):
@@ -29,19 +30,19 @@ def _random_pauli(rng, n):
 
 
 def test_identity_rows():
-    tab = identity_tableau(1)
+    tab = ConjugationTableau(1)
     assert [r.label() for r in tab.rows] == ["X", "Z"]
-    tab = identity_tableau(2)
+    tab = ConjugationTableau(2)
     assert [r.label() for r in tab.rows] == ["XI", "IX", "ZI", "IZ"]
 
 
 def test_identity_rejects_zero():
     with pytest.raises(InvalidSize):
-        identity_tableau(0)
+        ConjugationTableau(0)
 
 
 def test_append_rejects_rz_and_range():
-    tab = identity_tableau(2)
+    tab = ConjugationTableau(2)
     with pytest.raises(ValueError):
         tab.append_gate(rz(0, 0.3))
     with pytest.raises(ValueError):
@@ -49,7 +50,7 @@ def test_append_rejects_rz_and_range():
 
 
 def test_cnot_conjugation_examples():
-    tab = identity_tableau(2)
+    tab = ConjugationTableau(2)
     tab.append_gate(cx(0, 1))
     assert tab.conjugate(parse_pauli("XX")).label() == "XI"
     assert tab.conjugate(parse_pauli("ZY")).label() == "IY"
@@ -57,27 +58,27 @@ def test_cnot_conjugation_examples():
 
 
 def test_s_conjugation_sign():
-    tab = identity_tableau(1)
+    tab = ConjugationTableau(1)
     tab.append_gate(s(0))
     assert tab.conjugate(parse_pauli("Y")).label() == "-X"
     assert tab.conjugate(parse_pauli("X")).label() == "Y"
 
 
 def test_conjugate_identity_log():
-    tab = identity_tableau(3)
+    tab = ConjugationTableau(3)
     p = parse_pauli("-XYZ")
     assert tab.conjugate(p) == p
 
 
 def test_conjugate_hadamard():
-    tab = identity_tableau(3)
+    tab = ConjugationTableau(3)
     tab.append_gate(h(0))
     assert tab.conjugate(parse_pauli("XII")).label() == "ZII"
 
 
 def test_conjugate_length_mismatch():
     with pytest.raises(LengthMismatch):
-        identity_tableau(2).conjugate(parse_pauli("X"))
+        ConjugationTableau(2).conjugate(parse_pauli("X"))
 
 
 def test_conjugation_matches_dense():
@@ -85,7 +86,7 @@ def test_conjugation_matches_dense():
     for _ in range(60):
         n = int(rng.integers(1, 6))
         log = _random_clifford_log(rng, n, int(rng.integers(0, 31)))
-        tab = identity_tableau(n)
+        tab = ConjugationTableau(n)
         for g in log:
             tab.append_gate(g)
         d = circuit_unitary(Circuit(n, tuple(log)))
@@ -100,7 +101,7 @@ def test_conjugation_preserves_commutation():
     rng = np.random.default_rng(19)
     for _ in range(40):
         n = int(rng.integers(2, 6))
-        tab = identity_tableau(n)
+        tab = ConjugationTableau(n)
         for g in _random_clifford_log(rng, n, 20):
             tab.append_gate(g)
         p, q = _random_pauli(rng, n), _random_pauli(rng, n)
@@ -111,7 +112,7 @@ def test_rows_stay_consistent():
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        tab = identity_tableau(n)
+        tab = ConjugationTableau(n)
         for g in _random_clifford_log(rng, n, 25):
             tab.append_gate(g)
         rows = tab.rows
@@ -126,24 +127,24 @@ def test_rows_stay_consistent():
 
 def test_gate_log_replay_reproduces_rows():
     rng = np.random.default_rng(29)
-    tab = identity_tableau(4)
+    tab = ConjugationTableau(4)
     for g in _random_clifford_log(rng, 4, 30):
         tab.append_gate(g)
-    replay = identity_tableau(4)
+    replay = ConjugationTableau(4)
     for g in tab.gate_log:
         replay.append_gate(g)
     assert [r.label() for r in replay.rows] == [r.label() for r in tab.rows]
 
 
 def test_extracted_circuit_examples():
-    tab = identity_tableau(2)
+    tab = ConjugationTableau(2)
     tab.append_gate(h(0))
     tab.append_gate(cx(0, 1))
     assert tab.extracted_circuit().gates == (cx(0, 1), h(0))
-    tab = identity_tableau(1)
+    tab = ConjugationTableau(1)
     tab.append_gate(s(0))
     assert tab.extracted_circuit().gates == (sdg(0),)
-    assert identity_tableau(2).extracted_circuit().gates == ()
+    assert ConjugationTableau(2).extracted_circuit().gates == ()
 
 
 def test_extracted_circuit_inverts_log():
@@ -151,7 +152,7 @@ def test_extracted_circuit_inverts_log():
     for _ in range(20):
         n = int(rng.integers(1, 6))
         log = _random_clifford_log(rng, n, int(rng.integers(0, 25)))
-        tab = identity_tableau(n)
+        tab = ConjugationTableau(n)
         for g in log:
             tab.append_gate(g)
         u = circuit_unitary(tab.extracted_circuit()) @ circuit_unitary(Circuit(n, tuple(log)))
