@@ -183,16 +183,33 @@ def _load_counts(path) -> CountsHistogram:
     return CountsHistogram(data["n"], dict(data["counts"]), data["shots"])
 
 
-def cmd_postprocess(args) -> int:
-    report = _load_report(args.report)
+def _require(section, keys, where: str) -> dict:
+    """``section`` itself, after checking that it is an object holding
+    every one of ``keys``."""
+    if not isinstance(section, dict):
+        raise SchemaError(f"{where} is not an object")
+    for key in keys:
+        if key not in section:
+            raise SchemaError(f'{where} lacks "{key}"')
+    return section
+
+
+def _absorption(report) -> ProbabilityAbsorption:
+    """The report's probabilities-mode section."""
     if "absorption" not in report:
-        raise CliffexError("report lacks an 'absorption' section (probabilities mode)")
-    hist = _load_counts(args.counts)
-    pa = ProbabilityAbsorption(
+        raise SchemaError("report lacks an 'absorption' section (probabilities mode)")
+    _require(report, ("num_qubits",), "report")
+    sec = _require(report["absorption"], ("h_mask", "network"), "report absorption")
+    return ProbabilityAbsorption(
         report["num_qubits"],
-        frozenset(report["absorption"]["h_mask"]),
-        tuple((c, t) for c, t in report["absorption"]["network"]),
+        frozenset(sec["h_mask"]),
+        tuple((c, t) for c, t in sec["network"]),
     )
+
+
+def cmd_postprocess(args) -> int:
+    pa = _absorption(_load_report(args.report))
+    hist = _load_counts(args.counts)
     out = postprocess_counts(pa, hist)
     _write_json(args.out, {"n": out.n, "shots": out.shots, "counts": out.counts})
     print(f"rewrote {len(hist.counts)} bitstrings ({out.shots} shots) to {args.out}")
@@ -222,7 +239,9 @@ def cmd_map_expectations(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliffexError(f"cannot read values {args.values}: {exc}") from exc
-    values = data["values"] if isinstance(data, dict) else data
+    values = data.get("values") if isinstance(data, dict) else data
+    if not isinstance(values, list):
+        raise SchemaError(f'values file {args.values} lacks a "values" list')
     mapped = map_expectations(records, values)
     _write_json(args.out, {"values": mapped})
     print(f"mapped {len(mapped)} expectation values to {args.out}")
@@ -237,8 +256,19 @@ def cmd_verify(args) -> int:
             "verify a smaller instance or a subset of terms",
         )
     report = _load_report(args.report)
-    opt = parse_qasm(Path(report["artifacts"]["optimized"]).read_text(encoding="utf-8"))
-    cliff = parse_qasm(Path(report["artifacts"]["clifford"]).read_text(encoding="utf-8"))
+    _require(report, ("mode", "metrics", "artifacts"), "report")
+    m = _require(
+        report["metrics"], ("cnot_after", "entangling_depth_after", "cnot_before"), "report metrics"
+    )
+    art = _require(report["artifacts"], ("optimized", "clifford", "executed"), "report artifacts")
+    if report["mode"] == "observables":
+        records = _observable_records(report)
+    else:
+        network = _absorption(report).network
+        if not art["executed"]:
+            raise SchemaError('report artifacts "executed" is empty')
+    opt = parse_qasm(Path(art["optimized"]).read_text(encoding="utf-8"))
+    cliff = parse_qasm(Path(art["clifford"]).read_text(encoding="utf-8"))
     native = native_circuit(prob.terms, prob.n)
     cap = args.max_qubits
     failures = 0
@@ -252,22 +282,20 @@ def cmd_verify(args) -> int:
     u_full = circuit_unitary(cliff, cap) @ circuit_unitary(opt, cap)
     check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native, cap), 1e-9))
 
-    m = report["metrics"]
     check("cnot_after matches artifact", m["cnot_after"] == cnot_count(opt))
     check("entangling_depth_after matches artifact", m["entangling_depth_after"] == entangling_depth(opt))
     check("cnot_before matches input", m["cnot_before"] == cnot_count(native))
 
     if report["mode"] == "observables":
         ok = True
-        for rec in _observable_records(report):
+        for rec in records:
             unsigned = parse_pauli(rec.transformed.letters())
             lhs = expectation(native, rec.original, cap)
             rhs = rec.transformed.sign * expectation(opt, unsigned, cap)
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
     else:
-        network = [tuple(e) for e in report["absorption"]["network"]]
-        executed = parse_qasm(Path(report["artifacts"]["executed"][0]).read_text(encoding="utf-8"))
+        executed = parse_qasm(Path(art["executed"][0]).read_text(encoding="utf-8"))
         p_full = probabilities(native, cap)
         p_exec = probabilities(executed, cap)
         ok = True

@@ -4,9 +4,13 @@ Each rotation exp(i*P*t) is synthesized as a single-qubit basis-change
 layer, a CNOT parity tree and one RZ on the tree root.  Only that left
 half is emitted into the executable circuit; the mirrored right half
 accumulates in a conjugation tableau and re-emerges once, at the very
-end, as the extracted Clifford circuit.  Downstream Pauli strings are
-rewritten through the tableau lazily, when they become the current
-string or a scored candidate.
+end, as the extracted Clifford circuit.  Each string is rewritten
+through the phase-tracked tableau when it becomes the current string or
+guides a tree.  The members of the current block are also kept as
+phase-free rows: they are conjugated once when the block starts, and
+every gate appended to the tableau afterwards is applied to the rows
+still waiting, so scoring the candidates for the next position reads
+them directly.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
@@ -52,18 +56,26 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
     n = terms[0].pauli.n
     blocks: list[list[PauliTerm]] = []
     cur: list[PauliTerm] = []
+    # a basis of the span of cur's (x, z) vectors, keyed by its top bit:
+    # the symplectic product is bilinear, so commuting with the basis
+    # means commuting with every member
+    span: dict[int, PauliString] = {}
     for k, t in enumerate(terms):
-        if t.pauli.n != n:
-            raise MixedQubitCounts(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
         p = t.pauli
-        if all(
-            (((p.x & m.pauli.z).bit_count() + (p.z & m.pauli.x).bit_count()) & 1) == 0
-            for m in cur
-        ):
-            cur.append(t)
-        else:
+        if p.n != n:
+            raise MixedQubitCounts(f"term {k} acts on {p.n} qubits, expected {n}")
+        if not all(p.commutes(b) for b in span.values()):
             blocks.append(cur)
-            cur = [t]
+            cur, span = [], {}
+        cur.append(t)
+        x, z = p.x, p.z
+        while x | z:
+            top = (x | z << n).bit_length() - 1
+            b = span.get(top)
+            if b is None:
+                span[top] = PauliString(n, x, z)
+                break
+            x, z = x ^ b.x, z ^ b.z
     blocks.append(cur)
     return blocks
 
@@ -159,20 +171,22 @@ def _synth_recursive(idxs, level, guidance, out) -> list[tuple[str | None, int]]
     return [(None, root)]
 
 
-def _chain_groups(idxs, g, out) -> list[tuple[str | None, int]]:
-    """Non-recursive shape: chain each guidance group from the highest
-    index down (root = lowest index)."""
-    if g is None:
-        grouped: list[tuple[str | None, list[int]]] = [(None, list(idxs))]
-    else:
-        groups = _split_groups(idxs, *g)
-        grouped = [(c, groups[c]) for c in _GROUP_ORDER if groups[c]]
+def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
+    """Non-recursive tree over ``idxs`` guided by the one string (gx, gz):
+    each letter group is chained from the highest index down (group root
+    = lowest index), then the group roots are joined.  Returns the
+    (control, target) pairs in time order."""
+    groups = _split_groups(idxs, gx, gz)
+    out: list[tuple[int, int]] = []
     roots: list[tuple[str | None, int]] = []
-    for cls, grp in grouped:
-        for k in range(len(grp) - 1, 0, -1):
-            out.append((grp[k], grp[k - 1]))
-        roots.append((cls, grp[0]))
-    return roots
+    for cls in _GROUP_ORDER:
+        grp = groups[cls]
+        if grp:
+            for k in range(len(grp) - 1, 0, -1):
+                out.append((grp[k], grp[k - 1]))
+            roots.append((cls, grp[0]))
+    _connect_roots(roots, out)
+    return out
 
 
 def tree_synthesis(
@@ -180,7 +194,6 @@ def tree_synthesis(
     p_idx: int,
     tree_idxs,
     tableau: ConjugationTableau,
-    recursive: bool = True,
 ) -> tuple[list[Gate], int]:
     """Synthesize the CNOT parity tree for ``paulis[p_idx]`` over the
     qubits ``tree_idxs``, guided by the tableau-updated successors
@@ -206,36 +219,74 @@ def tree_synthesis(
         return cache[level]
 
     out: list[tuple[int, int]] = []
-    if recursive:
-        roots = _synth_recursive(idxs, 1, guidance, out)
-    else:
-        roots = _chain_groups(idxs, guidance(1), out)
-    root = _connect_roots(roots, out)
+    root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
     return [cx(a, b) for a, b in out], root
 
 
-def _score_candidates(terms, i, tableau, px, pz):
-    """Index of the candidate (positions > i) with the fewest non-identity
-    letters after simulating extraction of the current string's basis
-    layer and non-recursive tree keyed on that candidate."""
-    supp = _support(px | pz)
-    basis = [(q, _letter_at(px, pz, q)) for q in supp]
-    best_w = best_j = None
-    for j in range(i + 1, len(terms)):
-        p = terms[j].pauli
-        bx, bz, _ = tableau.conj_raw(p.x, p.z, 1)
-        for q, letter in basis:
-            if letter == "X":
-                bx, bz = _h_bits(bx, bz, q)
-            elif letter == "Y":
-                bz ^= ((bx >> q) & 1) << q
-                bx, bz = _h_bits(bx, bz, q)
-        out: list[tuple[int, int]] = []
-        _connect_roots(_chain_groups(supp, (bx, bz), out), out)
-        for c, t in out:
-            bx, bz = _cx_bits(bx, bz, c, t)
-        w = (bx | bz).bit_count()
-        if best_w is None or w < best_w:
+def _conj_bits(bx: int, bz: int, gates) -> tuple[int, int]:
+    """Phase-free image of the raw masks (bx, bz) under Clifford ``gates``
+    appended in time order."""
+    for g in gates:
+        if g.kind == "cx":
+            bx, bz = _cx_bits(bx, bz, *g.qubits)
+        elif g.kind == "h":
+            bx, bz = _h_bits(bx, bz, g.qubits[0])
+        else:  # s, sdg
+            q = g.qubits[0]
+            bz ^= ((bx >> q) & 1) << q
+    return bx, bz
+
+
+def _conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
+    """Conjugate ``rows[lo:]`` (phase-free strings packed as x | z << n)
+    in place by ``gates``.  The gates touch only their own qubits, so a
+    row's pattern on those qubits is simulated once per distinct pattern
+    and the rest of the row is kept."""
+    mask = 0
+    for g in gates:
+        for q in g.qubits:
+            mask |= 1 << q
+    mask |= mask << n
+    full = (1 << n) - 1
+    memo: dict[int, int] = {}
+    for k, v in enumerate(rows[lo:], lo):
+        key = v & mask
+        if key:
+            img = memo.get(key)
+            if img is None:
+                bx, bz = _conj_bits(key & full, key >> n, gates)
+                img = memo[key] = bx | bz << n
+            rows[k] = v ^ key ^ img
+
+
+def _score_candidates(rows: list[int], lo: int, px: int, pz: int, n: int) -> int:
+    """Index of the candidate row (positions >= ``lo``, conjugated through
+    the tableau and packed as x | z << n) with the fewest non-identity
+    letters after simulating the current string's basis layer and a
+    non-recursive tree keyed on that candidate; ties go to the lowest
+    index.  Both layers act only on the current support S, so the letters
+    off S count as they are and the weight left on S is simulated once
+    per distinct pattern."""
+    smask = px | pz
+    supp = _support(smask)
+    basis = basis_change_gates(PauliString(n, px, pz))
+    full = (1 << n) - 1
+    mask, off = smask | smask << n, full & ~smask
+    memo: dict[int, int] = {}
+    best_w, best_j = n + 1, -1
+    for j, v in enumerate(rows[lo:], lo):
+        key = v & mask
+        if key:
+            w = memo.get(key)
+            if w is None:
+                bx, bz = _conj_bits(key & full, key >> n, basis)
+                for c, t in _chain_tree(supp, bx, bz):
+                    bx, bz = _cx_bits(bx, bz, c, t)
+                w = memo[key] = (bx | bz).bit_count()
+            w += ((v | v >> n) & off).bit_count()
+        else:
+            w = ((v | v >> n) & full).bit_count()
+        if w < best_w:
             best_w, best_j = w, j
     return best_j
 
@@ -275,33 +326,41 @@ def extract(terms) -> ExtractionResult:
     reorders = 0
     blocks = convert_commute_sets(kept) if kept else []
 
+    # the strings in emission order: guidance may run past the block, and
+    # later blocks keep their input order until their own turn
+    seq = [t.pauli for t in kept]
     pos = 0
-    for bi, block in enumerate(blocks):
+    for block in blocks:
         work = list(zip(kept_idx[pos : pos + len(block)], block))
-        pos += len(block)
-        # guidance may run past the block: later blocks keep their input
-        # order until their own turn, so their strings are usable as-is
-        tail = [t.pauli for b in blocks[bi + 1 :] for t in b]
+        # rows[k] is work[k] conjugated through tab, phase-free, as x | z << n
+        rows = []
+        for t in block:
+            x, z, _ = tab.conj_raw(t.pauli.x, t.pauli.z, 1)
+            rows.append(x | z << n)
         for i in range(len(work)):
             orig_idx, term = work[i]
             px, pz, psign = tab.conj_raw(term.pauli.x, term.pauli.z, term.pauli.sign)
             if i + 1 < len(work):
-                j = _score_candidates([t for _, t in work], i, tab, px, pz)
-                if j is not None and j != i + 1:
+                j = _score_candidates(rows, i + 1, px, pz, n)
+                if j != i + 1:
                     work.insert(i + 1, work.pop(j))
+                    rows.insert(i + 1, rows.pop(j))
+                    seq.insert(pos + i + 1, seq.pop(pos + j))
                     reorders += 1
             supp = _support(px | pz)
-            for g in basis_change_gates(PauliString(n, px, pz)):
+            layer = basis_change_gates(PauliString(n, px, pz))
+            for g in layer:
                 gates.append(g)
                 tab.append_gate(g)
-            seq = [t.pauli for _, t in work] + tail
-            tree, root = tree_synthesis(seq, i, supp, tab, recursive=True)
+            tree, root = tree_synthesis(seq, pos + i, supp, tab)
             for g in tree:
                 gates.append(g)
                 tab.append_gate(g)
+            _conj_rows(rows, i + 1, layer + tree, n)
             gates.append(rz(root, -2.0 * term.coeff * psign))
             emitted_order.append(orig_idx)
             weights.append(len(supp))
+        pos += len(block)
 
     stats = {
         "rotations": len(emitted_order),

@@ -207,6 +207,70 @@ def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_in
     assert capsys.readouterr().err.count(f'lacks "{key}"') == 2
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def _without(report_path, path):
+    """Rewrite the report with the key at ``path`` (a tuple of keys) removed."""
+    report = json.loads(Path(report_path).read_text())
+    section = report
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    write_json(report_path, report)
+    return report_path
+
+
+@pytest.mark.parametrize(
+    "payload", [{"vals": [0.1]}, {"values": 0.1}, 0.1], ids=["no-values", "not-a-list", "number"]
+)
+def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload):
+    report = write_json(
+        tmp_path / "report.json",
+        {"mode": "observables",
+         "observables": [{"original": "XXZZ", "transformed": "-ZIZX", "basis_layer": []}]},
+    )
+    values = write_json(tmp_path / "values.json", payload)
+    out = tmp_path / "mapped.json"
+    assert run("map-expectations", values, "--report", report, "--out", out) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("artifacts",), ("metrics",), ("mode",), ("absorption",),
+        ("artifacts", "optimized"), ("artifacts", "clifford"), ("artifacts", "executed"),
+        ("metrics", "cnot_after"), ("absorption", "h_mask"), ("absorption", "network"),
+    ],
+    ids="-".join,
+)
+def test_verify_report_missing_key_exits_2(tmp_path, capsys, triangle_input, path):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    report = _without(tmp_path / "report.json", path)
+    capsys.readouterr()
+    assert run("verify", triangle_input, "--report", report) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key", ["h_mask", "network"])
+def test_postprocess_report_missing_key_exits_2(tmp_path, capsys, key):
+    report = write_json(
+        tmp_path / "report.json",
+        {"num_qubits": 2, "mode": "probabilities",
+         "absorption": {"h_mask": [0, 1], "network": [[0, 1]]}},
+    )
+    _without(report, ("absorption", key))
+    counts = write_json(tmp_path / "counts.json", {"n": 2, "shots": 5, "counts": {"10": 5}})
+    out = tmp_path / "post.json"
+    assert run("postprocess", counts, "--report", report, "--out", out) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_optimize_is_byte_deterministic(tmp_path, triangle_input):
     outputs = []
     for tag in ("a", "b"):

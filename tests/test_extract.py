@@ -2,21 +2,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import (
     cnot_count,
     convert_commute_sets,
     cx,
     extract,
+    gen_labs,
+    h,
     native_circuit,
     parse_pauli,
     rz,
+    s,
+    sdg,
     tree_synthesis,
 )
 from cliffex.errors import EmptyTree, MixedQubitCounts
-from cliffex.extract import basis_change_gates
+from cliffex.extract import _chain_tree, _conj_rows, _score_candidates, basis_change_gates
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, rotation_unitary
-from cliffex.pauli import PauliTerm
+from cliffex.pauli import PauliString, PauliTerm, _support
 from cliffex.tableau import ConjugationTableau
 
 
@@ -69,6 +75,24 @@ def test_commute_blocks_mixed_counts():
         convert_commute_sets([term("ZZ"), term("Z")])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=24)
+    )
+)
+def test_commute_blocks_match_pairwise_definition(words):
+    expected: list[list[str]] = []
+    for w in words:
+        p = parse_pauli(w)
+        if expected and all(p.commutes(parse_pauli(v)) for v in expected[-1]):
+            expected[-1].append(w)
+        else:
+            expected.append([w])
+    blocks = convert_commute_sets([term(w) for w in words])
+    assert [[t.pauli.letters() for t in b] for b in blocks] == expected
+
+
 # ---------------------------------------------------------- tree fixtures
 
 
@@ -91,9 +115,19 @@ def test_basis_extraction_strings(seven_qubit_setup):
     assert p3p.letters() == "YZYXIYX" and p3p.sign == -1
 
 
+def _chain_gates(idxs, guide, tab):
+    """The non-recursive tree over ``idxs`` guided by ``guide`` (conjugated
+    through ``tab``), as CNOT gates plus the one qubit that is never a
+    control: the root."""
+    gx, gz, _ = tab.conj_raw(guide.x, guide.z, 1)
+    pairs = _chain_tree(list(idxs), gx, gz)
+    (root,) = set(idxs) - {c for c, _ in pairs}
+    return [cx(c, t) for c, t in pairs], root
+
+
 def test_nonrecursive_tree(seven_qubit_setup):
     p1, p2, p3, tab = seven_qubit_setup
-    gates, root = tree_synthesis([p1, p2], 0, range(7), tab, recursive=False)
+    gates, root = _chain_gates(range(7), p2, tab)
     assert len(gates) == 6
     assert root == 4
     after = ConjugationTableau(7)
@@ -106,7 +140,7 @@ def test_nonrecursive_tree(seven_qubit_setup):
 
 def test_recursive_tree(seven_qubit_setup):
     p1, p2, p3, tab = seven_qubit_setup
-    gates, root = tree_synthesis([p1, p2, p3], 0, range(7), tab, recursive=True)
+    gates, root = tree_synthesis([p1, p2, p3], 0, range(7), tab)
     assert len(gates) == 6
     after = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates:
@@ -119,8 +153,10 @@ def test_recursive_tree(seven_qubit_setup):
 
 def test_tree_is_spanning(seven_qubit_setup):
     p1, p2, p3, tab = seven_qubit_setup
-    for recursive in (False, True):
-        gates, root = tree_synthesis([p1, p2, p3], 0, range(7), tab, recursive=recursive)
+    for gates, root in (
+        _chain_gates(range(7), p2, tab),
+        tree_synthesis([p1, p2, p3], 0, range(7), tab),
+    ):
         assert len(gates) == 6
         # every qubit appears as a control exactly once except the root,
         # and its target-directed path reaches the root
@@ -136,7 +172,6 @@ def test_tree_is_spanning(seven_qubit_setup):
                 node = parents[node]
                 steps += 1
                 assert steps <= 7
-
 
 
 def test_tree_singleton():
@@ -175,6 +210,100 @@ def test_find_next_ties_break_low():
 def test_find_next_prefers_lighter_result():
     # conjugating the duplicate edge through its own chain leaves weight 1
     assert _schedule(["ZZII", "IIZZ", "ZZII"]) == ((0, 2, 1), 1)
+
+
+# ------------------------------------------- incrementally conjugated rows
+
+
+@st.composite
+def _scoring_case(draw):
+    """n <= 6 qubits, a random H/S/SDG/CX prefix, a random non-identity
+    current string (already conjugated) and a random list of strings."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    one_q = st.builds(lambda k, q: k(q), st.sampled_from([h, s, sdg]), st.integers(0, n - 1))
+    gate = one_q
+    if n > 1:
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        gate = st.one_of(one_q, pair.map(lambda ct: cx(*ct)))
+    prefix = draw(st.lists(gate, max_size=12))
+    strings = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=8))
+    px, pz = draw(st.tuples(masks, masks).filter(lambda xz: xz != (0, 0)))
+    return n, prefix, strings, px, pz
+
+
+def _reference_choice(n, prefix, strings, px, pz):
+    """The scorer as first written: re-conjugate every candidate through
+    the prefix, the current string's basis layer and the chain tree keyed
+    on that candidate, with a phase-tracked tableau; keep the first of the
+    lightest."""
+    basis = basis_change_gates(PauliString(n, px, pz))
+    supp = _support(px | pz)
+    best_w = best_j = None
+    for j, (x, z) in enumerate(strings):
+        tab = ConjugationTableau(n)
+        for g in prefix + basis:
+            tab.append_gate(g)
+        gx, gz, _ = tab.conj_raw(x, z, 1)
+        for c, t in _chain_tree(supp, gx, gz):
+            tab.append_gate(cx(c, t))
+        w = tab.conjugate(PauliString(n, x, z)).weight()
+        if best_w is None or w < best_w:
+            best_w, best_j = w, j
+    return best_j
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scoring_case(), st.integers(0, 3))
+def test_rows_follow_the_tableau_gate_by_gate(case, lo):
+    n, prefix, strings, _, _ = case
+    tab = ConjugationTableau(n)
+    rows = [x | z << n for x, z in strings]
+    batch = list(rows)
+    for g in prefix:
+        tab.append_gate(g)
+        _conj_rows(rows, lo, [g], n)
+        for k, (x, z) in enumerate(strings):
+            if k >= lo:
+                gx, gz, _ = tab.conj_raw(x, z, 1)
+                assert rows[k] == gx | gz << n
+            else:
+                assert rows[k] == x | z << n
+    # one call with the whole gate list is the same as gate by gate
+    _conj_rows(batch, lo, prefix, n)
+    assert batch == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scoring_case(), st.integers(0, 2))
+def test_score_candidates_matches_reference(case, lo):
+    n, prefix, strings, px, pz = case
+    tab = ConjugationTableau(n)
+    for g in prefix:
+        tab.append_gate(g)
+    rows = [0] * lo  # identity rows below lo would win if they were scanned
+    for x, z in strings:
+        gx, gz, _ = tab.conj_raw(x, z, 1)
+        rows.append(gx | gz << n)
+    expected = lo + _reference_choice(n, prefix, strings, px, pz)
+    assert _score_candidates(rows, lo, px, pz, n) == expected
+
+
+def test_extract_conjugations_are_linear_in_block_size(monkeypatch):
+    terms = gen_labs(16, 1)
+    m = len(terms)
+    assert m == 324  # one commuting block of Z strings
+    calls = 0
+    conj_raw = ConjugationTableau.conj_raw
+
+    def counted(self, px, pz, sign):
+        nonlocal calls
+        calls += 1
+        return conj_raw(self, px, pz, sign)
+
+    monkeypatch.setattr(ConjugationTableau, "conj_raw", counted)
+    extract(terms)
+    assert calls <= 10 * m
 
 
 # ----------------------------------------------------------- extraction
