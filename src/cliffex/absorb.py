@@ -5,16 +5,19 @@ observable O is rewritten to O' = conjugate(tableau, O) and measured in
 the adjusted single-qubit basis; only the sign of O' enters the final
 result.  For probability workloads the extracted Clifford (H and CNOT
 gates only) is reduced to one Hadamard layer, appended to the executed
-circuit, plus a CNOT network that is applied to measured bitstrings as
-plain XORs.
+circuit, plus a CNOT network on the measured bits.  The network is a
+linear map over GF(2): it is composed once into a bit matrix and then
+applied to each measured bitstring by table lookup, at a cost that does
+not depend on the network's length.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
-from .errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
+from .errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible, SchemaError
 from .extract import basis_change_gates
 from .pauli import PauliString
 from .tableau import ConjugationTableau
@@ -61,10 +64,10 @@ class CountsHistogram:
                     f"bitstring {bits!r} is not {self.n} binary digits"
                 )
             if not isinstance(c, int) or c < 0:
-                raise ValueError(f"count for {bits!r} must be a non-negative integer")
+                raise SchemaError(f"count for {bits!r} must be a non-negative integer")
             total += c
         if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots} shots")
+            raise SchemaError(f"counts sum to {total}, expected {self.shots} shots")
 
 
 def absorb_observables(
@@ -129,23 +132,61 @@ def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
     return ProbabilityAbsorption(extracted.n, h_mask, tuple(measured))
 
 
+def _network_map(network, n: int) -> Callable[[int], int]:
+    """The action of a CNOT network (bit[target] ^= bit[control], in time
+    order) on an n-bit string read as an int, character q at bit n-1-q:
+    ``int("0" + bits, 2)`` reads a string in and
+    ``format(v | 1 << n, "b")[1:]`` writes one out, n = 0 included.
+
+    The network is composed once into one GF(2) row per output bit,
+    transposed into the output bits each input bit flips, and packed
+    into one 256-entry XOR table per input byte, so a bitstring costs
+    ceil(n/8) lookups however long the network is.
+    """
+    rows = [1 << (n - 1 - q) for q in range(n)]
+    for c, t in network:
+        rows[t] ^= rows[c]
+    cols = [0] * n
+    for q, row in enumerate(rows):
+        for j in range(n):
+            if row >> j & 1:
+                cols[j] |= 1 << (n - 1 - q)
+    tables = []
+    for lo in range(0, n, 8):
+        table = [0]
+        for col in cols[lo : lo + 8]:
+            table += [v ^ col for v in table]
+        tables.append(table)
+
+    def apply(v: int) -> int:
+        out = 0
+        for table in tables:
+            out ^= table[v & 255]
+            v >>= 8
+        return out
+
+    return apply
+
+
 def apply_network(network, bits: str) -> str:
     """Push one bitstring through a CNOT network in time order
-    (bit[target] ^= bit[control]); character q is qubit q."""
-    b = [int(ch) for ch in bits]
-    for c, t in network:
-        b[t] ^= b[c]
-    return "".join("1" if v else "0" for v in b)
+    (bit[target] ^= bit[control]); character q is qubit q.  The network
+    is composed on every call: ``postprocess_counts`` composes it once
+    for a whole histogram."""
+    n = len(bits)
+    return format(_network_map(network, n)(int("0" + bits, 2)) | 1 << n, "b")[1:]
 
 
 def postprocess_counts(pa: ProbabilityAbsorption, hist: CountsHistogram) -> CountsHistogram:
-    """Map every measured bitstring through the network.  The map is a
+    """Map every measured bitstring through the network, composed once
+    for the whole histogram; keys keep the input's order.  The map is a
     bijection, so the total shot count is preserved."""
     if hist.n != pa.n:
         raise BitstringLengthMismatch(f"{hist.n}-bit histogram vs {pa.n}-qubit absorption")
+    mapped, top = _network_map(pa.network, pa.n), 1 << pa.n
     out: dict[str, int] = {}
     for bits, c in hist.counts.items():
-        key = apply_network(pa.network, bits)
+        key = format(mapped(int("0" + bits, 2)) | top, "b")[1:]
         out[key] = out.get(key, 0) + c
     return CountsHistogram(hist.n, out, hist.shots)
 

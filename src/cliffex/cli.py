@@ -20,9 +20,9 @@ from .absorb import (
     CountsHistogram,
     ProbabilityAbsorption,
     TransformedObservable,
+    _network_map,
     absorb_observables,
     absorb_probabilities,
-    apply_network,
     map_expectations,
     postprocess_counts,
 )
@@ -177,10 +177,10 @@ def _load_counts(path) -> CountsHistogram:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliffexError(f"cannot read counts {path}: {exc}") from exc
-    for key in ("n", "shots", "counts"):
-        if key not in data:
-            raise CliffexError(f'counts file lacks "{key}"')
-    return CountsHistogram(data["n"], dict(data["counts"]), data["shots"])
+    _require(data, ("n", "shots", "counts"), "counts file")
+    if not isinstance(data["counts"], dict):
+        raise SchemaError('counts file "counts" is not an object')
+    return CountsHistogram(data["n"], data["counts"], data["shots"])
 
 
 def _require(section, keys, where: str) -> dict:
@@ -195,15 +195,30 @@ def _require(section, keys, where: str) -> dict:
 
 
 def _absorption(report) -> ProbabilityAbsorption:
-    """The report's probabilities-mode section."""
+    """The report's probabilities-mode section, after checking that the
+    mask and every network edge name qubits of the register (an edge
+    with equal ends would make the map collapse bitstrings)."""
     if "absorption" not in report:
         raise SchemaError("report lacks an 'absorption' section (probabilities mode)")
-    _require(report, ("num_qubits",), "report")
+    n = _require(report, ("num_qubits",), "report")["num_qubits"]
+    if type(n) is not int or n < 0:
+        raise SchemaError("report num_qubits is not a non-negative integer")
     sec = _require(report["absorption"], ("h_mask", "network"), "report absorption")
+
+    def qubits(values) -> bool:
+        return all(type(q) is int and 0 <= q < n for q in values)
+
+    if not isinstance(sec["h_mask"], list) or not qubits(sec["h_mask"]):
+        raise SchemaError(f"report absorption h_mask is not a list of qubits in [0, {n})")
+    if not isinstance(sec["network"], list):
+        raise SchemaError("report absorption network is not a list")
+    for k, edge in enumerate(sec["network"]):
+        if not (isinstance(edge, list) and len(edge) == 2 and qubits(edge) and edge[0] != edge[1]):
+            raise SchemaError(
+                f"report absorption network[{k}] is not a pair of distinct qubits in [0, {n})"
+            )
     return ProbabilityAbsorption(
-        report["num_qubits"],
-        frozenset(sec["h_mask"]),
-        tuple((c, t) for c, t in sec["network"]),
+        n, frozenset(sec["h_mask"]), tuple((c, t) for c, t in sec["network"])
     )
 
 
@@ -256,7 +271,7 @@ def cmd_verify(args) -> int:
             "verify a smaller instance or a subset of terms",
         )
     report = _load_report(args.report)
-    _require(report, ("mode", "metrics", "artifacts"), "report")
+    _require(report, ("input_digest", "mode", "metrics", "artifacts"), "report")
     m = _require(
         report["metrics"], ("cnot_after", "entangling_depth_after", "cnot_before"), "report metrics"
     )
@@ -264,7 +279,9 @@ def cmd_verify(args) -> int:
     if report["mode"] == "observables":
         records = _observable_records(report)
     else:
-        network = _absorption(report).network
+        pa = _absorption(report)
+        if pa.n != prob.n:
+            raise SchemaError(f"report num_qubits {pa.n} does not match the input's {prob.n}")
         if not art["executed"]:
             raise SchemaError('report artifacts "executed" is empty')
     opt = parse_qasm(Path(art["optimized"]).read_text(encoding="utf-8"))
@@ -279,6 +296,7 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
+    check("input digest matches report", report["input_digest"] == _digest(args.input))
     u_full = circuit_unitary(cliff, cap) @ circuit_unitary(opt, cap)
     check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native, cap), 1e-9))
 
@@ -298,11 +316,8 @@ def cmd_verify(args) -> int:
         executed = parse_qasm(Path(art["executed"][0]).read_text(encoding="utf-8"))
         p_full = probabilities(native, cap)
         p_exec = probabilities(executed, cap)
-        ok = True
-        for idx in range(2**prob.n):
-            bits = format(idx, f"0{prob.n}b")
-            mapped = int(apply_network(network, bits), 2)
-            ok = ok and abs(p_full[mapped] - p_exec[idx]) <= 1e-9
+        mapped = _network_map(pa.network, prob.n)
+        ok = all(abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9 for idx in range(2**prob.n))
         check("output distribution", ok)
 
     if failures:

@@ -224,6 +224,44 @@ def test_postprocess_length_mismatch():
         postprocess_counts(pa, CountsHistogram(2, {"00": 1}, 1))
 
 
+def _replay_network(network, bits):
+    # the gate-by-gate reference for the composed map
+    b = [int(ch) for ch in bits]
+    for c, t in network:
+        b[t] ^= b[c]
+    return "".join("1" if v else "0" for v in b)
+
+
+@st.composite
+def _networks_and_histograms(draw):
+    n = draw(st.one_of(st.sampled_from([0, 1, 7, 8, 9, 33, 60]), st.integers(0, 60)))
+    network = ()
+    if n >= 2:
+        qubit = st.integers(0, n - 1)
+        edge = st.tuples(qubit, qubit).filter(lambda ct: ct[0] != ct[1])
+        network = tuple(draw(st.lists(edge, max_size=200)))
+    keys = draw(st.lists(st.integers(0, 2**n - 1), unique=True, max_size=40))
+    counts = {format(k | 1 << n, "b")[1:]: draw(st.integers(0, 1000)) for k in keys}
+    return ProbabilityAbsorption(n, frozenset(), network), CountsHistogram(
+        n, counts, sum(counts.values())
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_networks_and_histograms())
+def test_composed_network_matches_gate_by_gate_replay(case):
+    pa, hist = case
+    expected: dict[str, int] = {}
+    for bits, c in hist.counts.items():
+        assert apply_network(pa.network, bits) == _replay_network(pa.network, bits)
+        key = _replay_network(pa.network, bits)
+        expected[key] = expected.get(key, 0) + c
+    out = postprocess_counts(pa, hist)
+    assert list(out.counts.items()) == list(expected.items())
+    assert out.shots == hist.shots
+    assert len(out.counts) == len(hist.counts)
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         CountsHistogram(2, {"00": 1}, 2)

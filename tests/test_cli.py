@@ -242,7 +242,7 @@ def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload)
 @pytest.mark.parametrize(
     "path",
     [
-        ("artifacts",), ("metrics",), ("mode",), ("absorption",),
+        ("input_digest",), ("artifacts",), ("metrics",), ("mode",), ("absorption",),
         ("artifacts", "optimized"), ("artifacts", "clifford"), ("artifacts", "executed"),
         ("metrics", "cnot_after"), ("absorption", "h_mask"), ("absorption", "network"),
     ],
@@ -269,6 +269,69 @@ def test_postprocess_report_missing_key_exits_2(tmp_path, capsys, key):
     assert run("postprocess", counts, "--report", report, "--out", out) == 2
     assert _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("network", [[0]]), ("network", [[0, 99]]), ("network", [[0, "a"]]), ("network", 7),
+        ("network", [[1, 1]]), ("network", [[0, -1]]), ("h_mask", 7), ("h_mask", [0, 3]),
+        ("num_qubits", "3"), ("num_qubits", 4),
+    ],
+    ids=["not-a-pair", "out-of-range", "not-an-int", "not-a-list", "equal-ends", "negative",
+         "mask-not-a-list", "mask-out-of-range", "num-qubits-not-an-int", "num-qubits-mismatch"],
+)
+def test_malformed_absorption_exits_2(tmp_path, capsys, triangle_input, key, value):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    (report if key == "num_qubits" else report["absorption"])[key] = value
+    write_json(report_path, report)
+    counts = write_json(tmp_path / "counts.json", {"n": 3, "shots": 5, "counts": {"100": 5}})
+    out = tmp_path / "post.json"
+    capsys.readouterr()
+    assert run("postprocess", counts, "--report", report_path, "--out", out) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+    assert run("verify", triangle_input, "--report", report_path) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"n": 2, "shots": 5, "counts": [1]},
+        {"n": 2, "shots": 4, "counts": {"10": 5}},
+        {"n": 2, "shots": 5, "counts": {"10": 5.0}},
+        {"n": 2, "shots": -1, "counts": {"10": -1}},
+        {"n": 2, "shots": 5, "counts": {"1": 5}},
+    ],
+    ids=["not-an-object", "counts-not-an-object", "shot-sum", "non-integer", "negative",
+         "short-key"],
+)
+def test_malformed_counts_exits_2(tmp_path, capsys, payload):
+    report = write_json(
+        tmp_path / "report.json",
+        {"num_qubits": 2, "mode": "probabilities",
+         "absorption": {"h_mask": [0, 1], "network": [[0, 1]]}},
+    )
+    counts = write_json(tmp_path / "counts.json", payload)
+    out = tmp_path / "post.json"
+    assert run("postprocess", counts, "--report", report, "--out", out) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    assert run("verify", triangle_input, "--report", tmp_path / "report.json") == 0
+    assert "pass  input digest matches report" in capsys.readouterr().out
+    # the same terms in other bytes: only the digest check sees the edit
+    triangle_input.write_text(json.dumps(json.loads(triangle_input.read_text()), indent=4))
+    assert run("verify", triangle_input, "--report", tmp_path / "report.json") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  input digest matches report" in out and "1 check(s) failed" in out
 
 
 def test_optimize_is_byte_deterministic(tmp_path, triangle_input):
