@@ -163,21 +163,20 @@ def cmd_optimize(args) -> int:
     return OK
 
 
-def _load_report(path) -> dict:
+def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliffexError(f"cannot read report {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise CliffexError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_report(path) -> dict:
+    return _require(_read_json(path, "report"), (), "report")
 
 
 def _load_counts(path) -> CountsHistogram:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliffexError(f"cannot read counts {path}: {exc}") from exc
-    _require(data, ("n", "shots", "counts"), "counts file")
+    data = _require(_read_json(path, "counts"), ("n", "shots", "counts"), "counts file")
     if not isinstance(data["counts"], dict):
         raise SchemaError('counts file "counts" is not an object')
     return CountsHistogram(data["n"], data["counts"], data["shots"])
@@ -236,11 +235,14 @@ def _observable_records(report) -> list[TransformedObservable]:
     needed to read it back)."""
     if "observables" not in report:
         raise CliffexError("report lacks an 'observables' section (observable mode)")
+    if not isinstance(report["observables"], list):
+        raise SchemaError("report observables is not a list")
     records = []
     for k, rec in enumerate(report["observables"]):
+        _require(rec, ("original", "transformed"), f"report observables[{k}]")
         for key in ("original", "transformed"):
-            if key not in rec:
-                raise SchemaError(f'report observables[{k}] lacks "{key}"')
+            if not isinstance(rec[key], str):
+                raise SchemaError(f"report observables[{k}] {key} is not a string")
         records.append(
             TransformedObservable(parse_pauli(rec["original"]), parse_pauli(rec["transformed"]), ())
         )
@@ -249,14 +251,13 @@ def _observable_records(report) -> list[TransformedObservable]:
 
 def cmd_map_expectations(args) -> int:
     records = _observable_records(_load_report(args.report))
-    try:
-        with open(args.values, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliffexError(f"cannot read values {args.values}: {exc}") from exc
+    data = _read_json(args.values, "values")
     values = data.get("values") if isinstance(data, dict) else data
     if not isinstance(values, list):
         raise SchemaError(f'values file {args.values} lacks a "values" list')
+    for k, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise SchemaError(f"values file {args.values} value [{k}] is not a number")
     mapped = map_expectations(records, values)
     _write_json(args.out, {"values": mapped})
     print(f"mapped {len(mapped)} expectation values to {args.out}")

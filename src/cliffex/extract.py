@@ -4,13 +4,14 @@ Each rotation exp(i*P*t) is synthesized as a single-qubit basis-change
 layer, a CNOT parity tree and one RZ on the tree root.  Only that left
 half is emitted into the executable circuit; the mirrored right half
 accumulates in a conjugation tableau and re-emerges once, at the very
-end, as the extracted Clifford circuit.  Each string is rewritten
-through the phase-tracked tableau when it becomes the current string or
-guides a tree.  The members of the current block are also kept as
-phase-free rows: they are conjugated once when the block starts, and
-every gate appended to the tableau afterwards is applied to the rows
-still waiting, so scoring the candidates for the next position reads
-them directly.
+end, as the extracted Clifford circuit.  The members of the current
+block are kept as signed rows: each is conjugated through the tableau
+once, when the block starts, and every gate appended to the tableau
+afterwards is applied to the rows still waiting with the same rule
+(``tableau.conj_rows``).  The current string and its sign are read from
+its row, and scoring the candidates for the next position reads the
+rows after it directly.  Strings that guide a tree are rewritten
+through the tableau.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import EmptyTree, MixedQubitCounts
 from .pauli import PauliString, PauliTerm, _letter_at, _support
-from .tableau import ConjugationTableau
+from .tableau import ConjugationTableau, _conj_gate, conj_rows
 
 _ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
@@ -78,20 +79,6 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
             x, z = x ^ b.x, z ^ b.z
     blocks.append(cur)
     return blocks
-
-
-def _h_bits(bx: int, bz: int, q: int) -> tuple[int, int]:
-    if ((bx >> q) & 1) != ((bz >> q) & 1):
-        bit = 1 << q
-        bx ^= bit
-        bz ^= bit
-    return bx, bz
-
-
-def _cx_bits(bx: int, bz: int, c: int, t: int) -> tuple[int, int]:
-    bx ^= ((bx >> c) & 1) << t
-    bz ^= ((bz >> t) & 1) << c
-    return bx, bz
 
 
 def basis_change_gates(p: PauliString) -> list[Gate]:
@@ -223,42 +210,6 @@ def tree_synthesis(
     return [cx(a, b) for a, b in out], root
 
 
-def _conj_bits(bx: int, bz: int, gates) -> tuple[int, int]:
-    """Phase-free image of the raw masks (bx, bz) under Clifford ``gates``
-    appended in time order."""
-    for g in gates:
-        if g.kind == "cx":
-            bx, bz = _cx_bits(bx, bz, *g.qubits)
-        elif g.kind == "h":
-            bx, bz = _h_bits(bx, bz, g.qubits[0])
-        else:  # s, sdg
-            q = g.qubits[0]
-            bz ^= ((bx >> q) & 1) << q
-    return bx, bz
-
-
-def _conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
-    """Conjugate ``rows[lo:]`` (phase-free strings packed as x | z << n)
-    in place by ``gates``.  The gates touch only their own qubits, so a
-    row's pattern on those qubits is simulated once per distinct pattern
-    and the rest of the row is kept."""
-    mask = 0
-    for g in gates:
-        for q in g.qubits:
-            mask |= 1 << q
-    mask |= mask << n
-    full = (1 << n) - 1
-    memo: dict[int, int] = {}
-    for k, v in enumerate(rows[lo:], lo):
-        key = v & mask
-        if key:
-            img = memo.get(key)
-            if img is None:
-                bx, bz = _conj_bits(key & full, key >> n, gates)
-                img = memo[key] = bx | bz << n
-            rows[k] = v ^ key ^ img
-
-
 def _score_candidates(rows: list[int], lo: int, px: int, pz: int, n: int) -> int:
     """Index of the candidate row (positions >= ``lo``, conjugated through
     the tableau and packed as x | z << n) with the fewest non-identity
@@ -279,9 +230,11 @@ def _score_candidates(rows: list[int], lo: int, px: int, pz: int, n: int) -> int
         if key:
             w = memo.get(key)
             if w is None:
-                bx, bz = _conj_bits(key & full, key >> n, basis)
-                for c, t in _chain_tree(supp, bx, bz):
-                    bx, bz = _cx_bits(bx, bz, c, t)
+                bx, bz = key & full, key >> n
+                for g in basis:
+                    bx, bz, _ = _conj_gate(bx, bz, g.kind, g.qubits)
+                for ct in _chain_tree(supp, bx, bz):
+                    bx, bz, _ = _conj_gate(bx, bz, "cx", ct)
                 w = memo[key] = (bx | bz).bit_count()
             w += ((v | v >> n) & off).bit_count()
         else:
@@ -329,22 +282,25 @@ def extract(terms) -> ExtractionResult:
     # the strings in emission order: guidance may run past the block, and
     # later blocks keep their input order until their own turn
     seq = [t.pauli for t in kept]
+    full = (1 << n) - 1
     pos = 0
     for block in blocks:
         work = list(zip(kept_idx[pos : pos + len(block)], block))
-        # rows[k] is work[k] conjugated through tab, phase-free, as x | z << n
-        rows = []
+        # rows[k], signs[k] is work[k] conjugated through tab, as x | z << n
+        rows, signs = [], []
         for t in block:
-            x, z, _ = tab.conj_raw(t.pauli.x, t.pauli.z, 1)
+            x, z, sign = tab.conj_raw(t.pauli.x, t.pauli.z, t.pauli.sign)
             rows.append(x | z << n)
+            signs.append(sign)
         for i in range(len(work)):
             orig_idx, term = work[i]
-            px, pz, psign = tab.conj_raw(term.pauli.x, term.pauli.z, term.pauli.sign)
+            px, pz, psign = rows[i] & full, rows[i] >> n, signs[i]
             if i + 1 < len(work):
                 j = _score_candidates(rows, i + 1, px, pz, n)
                 if j != i + 1:
                     work.insert(i + 1, work.pop(j))
                     rows.insert(i + 1, rows.pop(j))
+                    signs.insert(i + 1, signs.pop(j))
                     seq.insert(pos + i + 1, seq.pop(pos + j))
                     reorders += 1
             supp = _support(px | pz)
@@ -356,7 +312,7 @@ def extract(terms) -> ExtractionResult:
             for g in tree:
                 gates.append(g)
                 tab.append_gate(g)
-            _conj_rows(rows, i + 1, layer + tree, n)
+            conj_rows(rows, signs, i + 1, layer + tree, n)
             gates.append(rz(root, -2.0 * term.coeff * psign))
             emitted_order.append(orig_idx)
             weights.append(len(supp))

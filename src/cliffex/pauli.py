@@ -67,26 +67,6 @@ class PauliString:
         if not 0 <= self.x <= full or not 0 <= self.z <= full:
             raise ValueError("bit masks exceed the qubit count")
 
-    @classmethod
-    def from_label(cls, text: str) -> "PauliString":
-        """Parse ``[+|-]<letters>`` with letters drawn from I/X/Y/Z."""
-        sign = 1
-        if text[:1] in ("+", "-", "−"):
-            if text[0] != "+":
-                sign = -1
-            text = text[1:]
-        if not text:
-            raise InvalidLetter("empty Pauli word")
-        x = z = 0
-        for q, ch in enumerate(text):
-            try:
-                xb, zb = _LETTER_BITS[ch]
-            except KeyError:
-                raise InvalidLetter(f"invalid Pauli letter {ch!r} at position {q}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(len(text), x, z, sign)
-
     def letter(self, q: int) -> str:
         return _letter_at(self.x, self.z, q)
 
@@ -126,8 +106,24 @@ class PauliTerm:
 
 
 def parse_pauli(text: str) -> PauliString:
-    """Parse a signed Pauli word such as ``XIZ`` or ``-ZZ``."""
-    return PauliString.from_label(text)
+    """Parse a signed Pauli word such as ``XIZ`` or ``-ZZ``: an optional
+    ``+``/``-`` followed by letters drawn from I/X/Y/Z."""
+    sign = 1
+    if text[:1] in ("+", "-", "−"):
+        if text[0] != "+":
+            sign = -1
+        text = text[1:]
+    if not text:
+        raise InvalidLetter("empty Pauli word")
+    x = z = 0
+    for q, ch in enumerate(text):
+        try:
+            xb, zb = _LETTER_BITS[ch]
+        except KeyError:
+            raise InvalidLetter(f"invalid Pauli letter {ch!r} at position {q}") from None
+        x |= xb << q
+        z |= zb << q
+    return PauliString(len(text), x, z, sign)
 
 
 def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:

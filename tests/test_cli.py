@@ -193,18 +193,43 @@ def test_map_expectations(tmp_path):
     assert json.loads(out.read_text())["values"] == [-0.5]
 
 
-@pytest.mark.parametrize("key", ["original", "transformed"])
-def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_input, key):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda r: r["observables"][0].pop("original"), 'lacks "original"', id="original"),
+        pytest.param(
+            lambda r: r["observables"][0].pop("transformed"), 'lacks "transformed"', id="transformed"
+        ),
+        pytest.param(lambda r: r.update(observables="abc"), "observables is not a list",
+                     id="observables-string"),
+        pytest.param(lambda r: r.update(observables=5), "observables is not a list",
+                     id="observables-number"),
+        pytest.param(lambda r: r.update(observables=[5]), "observables[0] is not an object",
+                     id="record-number"),
+        pytest.param(lambda r: r["observables"][0].update(original=5), "original is not a string",
+                     id="original-number"),
+        pytest.param(lambda r: r["observables"][0].update(transformed=5),
+                     "transformed is not a string", id="transformed-number"),
+        pytest.param(lambda r: r["observables"][0].update(transformed=["Z"]),
+                     "transformed is not a string", id="transformed-list"),
+    ],
+)
+def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_input, edit, message):
     assert run(*_opt_args(tmp_path, two_rotation_input)) == 0
     report_path = tmp_path / "report.json"
     report = json.loads(report_path.read_text())
-    del report["observables"][0][key]
+    edit(report)
     write_json(report_path, report)
     values = write_json(tmp_path / "values.json", {"values": [0.5]})
     capsys.readouterr()
-    assert run("map-expectations", values, "--report", report_path, "--out", tmp_path / "m.json") == 2
-    assert run("verify", two_rotation_input, "--report", report_path) == 2
-    assert capsys.readouterr().err.count(f'lacks "{key}"') == 2
+    for argv in (
+        ("map-expectations", values, "--report", report_path, "--out", tmp_path / "m.json"),
+        ("verify", two_rotation_input, "--report", report_path),
+    ):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def _one_error_line(capsys):
@@ -224,7 +249,9 @@ def _without(report_path, path):
 
 
 @pytest.mark.parametrize(
-    "payload", [{"vals": [0.1]}, {"values": 0.1}, 0.1], ids=["no-values", "not-a-list", "number"]
+    "payload",
+    [{"vals": [0.1]}, {"values": 0.1}, 0.1, {"values": ["a"]}, {"values": [None]}, [True]],
+    ids=["no-values", "not-a-list", "number", "string-value", "null-value", "bool-value"],
 )
 def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload):
     report = write_json(
@@ -321,6 +348,22 @@ def test_malformed_counts_exits_2(tmp_path, capsys, payload):
     assert run("postprocess", counts, "--report", report, "--out", out) == 2
     assert _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe", b"[1, 2]", b"5"], ids=["not-utf8", "list", "number"])
+def test_report_not_a_json_object_exits_2(tmp_path, capsys, triangle_input, payload):
+    report = tmp_path / "report.json"
+    report.write_bytes(payload)
+    counts = write_json(tmp_path / "counts.json", {"n": 3, "shots": 1, "counts": {"000": 1}})
+    values = write_json(tmp_path / "values.json", {"values": [0.5]})
+    for argv in (
+        ("postprocess", counts, "--report", report, "--out", tmp_path / "post.json"),
+        ("map-expectations", values, "--report", report, "--out", tmp_path / "m.json"),
+        ("verify", triangle_input, "--report", report),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert _one_error_line(capsys)
 
 
 def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):

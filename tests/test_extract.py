@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -20,10 +21,10 @@ from cliffex import (
     tree_synthesis,
 )
 from cliffex.errors import EmptyTree, MixedQubitCounts
-from cliffex.extract import _chain_tree, _conj_rows, _score_candidates, basis_change_gates
+from cliffex.extract import _chain_tree, _score_candidates, basis_change_gates
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, rotation_unitary
 from cliffex.pauli import PauliString, PauliTerm, _support
-from cliffex.tableau import ConjugationTableau
+from cliffex.tableau import ConjugationTableau, conj_rows
 
 
 def term(text, coeff=0.5):
@@ -254,24 +255,51 @@ def _reference_choice(n, prefix, strings, px, pz):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scoring_case(), st.integers(0, 3))
-def test_rows_follow_the_tableau_gate_by_gate(case, lo):
+@given(_scoring_case(), st.integers(0, 3), st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8))
+def test_rows_follow_the_tableau_gate_by_gate(case, lo, drawn_signs):
     n, prefix, strings, _, _ = case
+    start_signs = drawn_signs[: len(strings)]
     tab = ConjugationTableau(n)
     rows = [x | z << n for x, z in strings]
-    batch = list(rows)
+    signs = list(start_signs)
+    batch, batch_signs = list(rows), list(signs)
     for g in prefix:
         tab.append_gate(g)
-        _conj_rows(rows, lo, [g], n)
-        for k, (x, z) in enumerate(strings):
+        conj_rows(rows, signs, lo, [g], n)
+        for k, ((x, z), sign) in enumerate(zip(strings, start_signs)):
             if k >= lo:
-                gx, gz, _ = tab.conj_raw(x, z, 1)
+                gx, gz, gsign = tab.conj_raw(x, z, sign)
                 assert rows[k] == gx | gz << n
+                assert signs[k] == gsign
             else:
-                assert rows[k] == x | z << n
+                assert (rows[k], signs[k]) == (x | z << n, sign)
     # one call with the whole gate list is the same as gate by gate
-    _conj_rows(batch, lo, prefix, n)
-    assert batch == rows
+    conj_rows(batch, batch_signs, lo, prefix, n)
+    assert (batch, batch_signs) == (rows, signs)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 100])
+def test_conj_rows_match_conj_raw_on_wide_registers(n):
+    # packed rows are 2n bits wide, so these sizes cross 64 and 128 bits
+    rng = random.Random(n)
+    gates = []
+    for _ in range(300):
+        make = rng.choice((h, s, sdg, cx))
+        gates.append(make(*rng.sample(range(n), 2)) if make is cx else make(rng.randrange(n)))
+    strings = [(rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1))) for _ in range(20)]
+    # X, Z and Y on the top qubit alone: the highest bit of each half
+    strings += [(1 << (n - 1), 0, 1), (0, 1 << (n - 1), -1), (1 << (n - 1), 1 << (n - 1), 1)]
+    rows = [x | z << n for x, z, _ in strings]
+    signs = [sign for _, _, sign in strings]
+    tab = ConjugationTableau(n)
+    for k in range(0, len(gates), 7):
+        chunk = gates[k : k + 7]
+        for g in chunk:
+            tab.append_gate(g)
+        conj_rows(rows, signs, 0, chunk, n)
+        for (x, z, sign), row, got in zip(strings, rows, signs):
+            gx, gz, gsign = tab.conj_raw(x, z, sign)
+            assert (row, got) == (gx | gz << n, gsign)
 
 
 @settings(max_examples=200, deadline=None)
