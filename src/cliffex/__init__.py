@@ -10,8 +10,6 @@ from .absorb import (
     TransformedObservable,
     absorb_observables,
     absorb_probabilities,
-    apply_network,
-    decompose_h_cnot,
     map_expectations,
     postprocess_counts,
 )
@@ -57,12 +55,10 @@ __all__ = [
     "TransformedObservable",
     "absorb_observables",
     "absorb_probabilities",
-    "apply_network",
     "basis_change_gates",
     "cnot_count",
     "convert_commute_sets",
     "cx",
-    "decompose_h_cnot",
     "emit_qasm",
     "entangling_depth",
     "extract",

@@ -4,11 +4,14 @@ Two modes are supported.  For expectation-value workloads every
 observable O is rewritten to O' = conjugate(tableau, O) and measured in
 the adjusted single-qubit basis; only the sign of O' enters the final
 result.  For probability workloads the extracted Clifford (H and CNOT
-gates only) is reduced to one Hadamard layer, appended to the executed
-circuit, plus a CNOT network on the measured bits.  The network is a
-linear map over GF(2): it is composed once into a bit matrix and then
-applied to each measured bitstring by table lookup, at a cost that does
-not depend on the network's length.
+gates only) is reduced, in one backward sweep, to one Hadamard layer,
+appended to the executed circuit, plus a CNOT network on the measured
+bits.  That form exists unless some CNOT is followed by an odd number
+of Hadamards on exactly one of its two qubits; such a Clifford, or one
+with S/SDG gates, is refused.  The network is a linear map over
+GF(2): it is composed once into a bit matrix and then applied to each
+measured bitstring by table lookup, at a cost that does not depend on
+the network's length.
 """
 
 from __future__ import annotations
@@ -84,52 +87,35 @@ def absorb_observables(
     return out
 
 
-def decompose_h_cnot(circuit: Circuit) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
-    """Collapse every Hadamard of an H+CNOT circuit into a single layer,
-    leaving a pure CNOT network.
+def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
+    """Reduce an H+CNOT extracted Clifford to the measurement-side form:
+    a Hadamard layer on ``h_mask``, appended to the executed circuit,
+    then a CNOT network acting on the measured bits.
 
-    Sweeps the gates in time order with a pending-Hadamard set: H(q)
-    toggles q, a CNOT seen with both qubits pending commutes through the
-    pair by swapping control and target, with neither pending it passes
-    unchanged, and a mixed state has no such normal form.  On success
-    the input equals ``dense(H on h_mask) @ dense(network)``.
+    One sweep over the gates in reverse keeps the qubits with an odd
+    number of later Hadamards pending: H(q) toggles q, a CNOT with
+    neither qubit pending joins the network as it is, and one with both
+    pending joins it with control and target swapped (conjugating a
+    CNOT by H on both qubits reverses it).  The set still pending at
+    the start is the mask.  Raises NotReducible when a CNOT has exactly
+    one qubit pending, as no such form exists then (switch to
+    observable mode), and NonHCnotGate on other gates.
     """
     pending = 0
     network: list[tuple[int, int]] = []
-    for g in circuit.gates:
+    for g in reversed(extracted.gates):
         if g.kind == "h":
             pending ^= 1 << g.qubits[0]
         elif g.kind == "cx":
             c, t = g.qubits
-            ci, ti = bool(pending >> c & 1), bool(pending >> t & 1)
-            if ci != ti:
-                raise NotReducible(f"pending Hadamard straddles cx({c},{t})")
+            ci = pending >> c & 1
+            if ci != pending >> t & 1:
+                raise NotReducible(f"a later Hadamard straddles cx({c},{t})")
             network.append((t, c) if ci else (c, t))
         else:
             raise NonHCnotGate(f"gate kind {g.kind!r} is not H or CNOT")
-    h_mask = frozenset(q for q in range(circuit.n) if pending >> q & 1)
-    return h_mask, tuple(network)
-
-
-def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
-    """Reduce an H+CNOT extracted Clifford to the measurement-side form:
-    the Hadamard layer is appended to the executed circuit and the
-    network acts on the measured bits.
-
-    The network returned by the layer collapse sits behind the Hadamard
-    layer; commuting it to the measurement side conjugates each CNOT
-    through the layer (swapping it when both qubits are in the mask).
-    Raises NotReducible when no such form exists (switch to observable
-    mode in that case) and NonHCnotGate on other gates.
-    """
-    h_mask, network = decompose_h_cnot(extracted)
-    measured: list[tuple[int, int]] = []
-    for c, t in network:
-        ci, ti = c in h_mask, t in h_mask
-        if ci != ti:
-            raise NotReducible(f"Hadamard layer straddles network gate cx({c},{t})")
-        measured.append((t, c) if ci else (c, t))
-    return ProbabilityAbsorption(extracted.n, h_mask, tuple(measured))
+    h_mask = frozenset(q for q in range(extracted.n) if pending >> q & 1)
+    return ProbabilityAbsorption(extracted.n, h_mask, tuple(reversed(network)))
 
 
 def _network_map(network, n: int) -> Callable[[int], int]:
@@ -166,15 +152,6 @@ def _network_map(network, n: int) -> Callable[[int], int]:
         return out
 
     return apply
-
-
-def apply_network(network, bits: str) -> str:
-    """Push one bitstring through a CNOT network in time order
-    (bit[target] ^= bit[control]); character q is qubit q.  The network
-    is composed on every call: ``postprocess_counts`` composes it once
-    for a whole histogram."""
-    n = len(bits)
-    return format(_network_map(network, n)(int("0" + bits, 2)) | 1 << n, "b")[1:]
 
 
 def postprocess_counts(pa: ProbabilityAbsorption, hist: CountsHistogram) -> CountsHistogram:

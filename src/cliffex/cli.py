@@ -29,9 +29,23 @@ from .absorb import (
 from .circuit import Circuit, cnot_count, emit_qasm, entangling_depth, h, parse_qasm, peephole
 from .errors import CliffexError, NonHCnotGate, NotReducible, SchemaError, TooLarge
 from .extract import extract, native_circuit
-from .oracle import circuit_unitary, equivalent_up_to_phase, expectation, probabilities
+from .oracle import (
+    DEFAULT_CAP,
+    circuit_unitary,
+    equivalent_up_to_phase,
+    expectation,
+    probabilities,
+)
 from .pauli import parse_pauli
-from .problems import ProblemSpec, gen_labs, gen_maxcut, load_terms, to_input_dict
+from .problems import (
+    ProblemSpec,
+    _read_json,
+    _read_text,
+    gen_labs,
+    gen_maxcut,
+    load_terms,
+    to_input_dict,
+)
 
 OK, VERIFY_FAIL, USAGE = 0, 1, 2
 
@@ -60,18 +74,11 @@ def cmd_gen(args) -> int:
     if args.kind == "maxcut":
         if (args.degree is None) == (args.edges is None):
             return _fail("pass exactly one of --degree or --edges")
-        if args.degree is not None:
-            spec = ProblemSpec(
-                "maxcut_regular", args.nodes, degree=args.degree, seed=args.seed,
-                layers=args.layers, gammas=_angles(args.gamma, args.layers),
-                betas=_angles(args.beta, args.layers),
-            )
-        else:
-            spec = ProblemSpec(
-                "maxcut_random", args.nodes, edges=args.edges, seed=args.seed,
-                layers=args.layers, gammas=_angles(args.gamma, args.layers),
-                betas=_angles(args.beta, args.layers),
-            )
+        spec = ProblemSpec(
+            "maxcut_random" if args.degree is None else "maxcut_regular", args.nodes,
+            degree=args.degree, edges=args.edges, seed=args.seed, layers=args.layers,
+            gammas=_angles(args.gamma, args.layers), betas=_angles(args.beta, args.layers),
+        )
         terms = gen_maxcut(spec)
         n = spec.n
     else:  # labs
@@ -161,14 +168,6 @@ def cmd_optimize(args) -> int:
         f"mode {mode}"
     )
     return OK
-
-
-def _read_json(path, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise CliffexError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_report(path) -> dict:
@@ -266,17 +265,19 @@ def cmd_map_expectations(args) -> int:
 
 def cmd_verify(args) -> int:
     prob = load_terms(args.input)
-    if prob.n > args.max_qubits:
-        return _fail(
-            f"{prob.n} qubits exceeds --max-qubits {args.max_qubits}; "
-            "verify a smaller instance or a subset of terms",
-        )
+    if prob.n > DEFAULT_CAP:
+        raise TooLarge(f"{prob.n} qubits exceeds the dense-simulation cap of {DEFAULT_CAP}")
     report = _load_report(args.report)
     _require(report, ("input_digest", "mode", "metrics", "artifacts"), "report")
     m = _require(
         report["metrics"], ("cnot_after", "entangling_depth_after", "cnot_before"), "report metrics"
     )
     art = _require(report["artifacts"], ("optimized", "clifford", "executed"), "report artifacts")
+    for key in ("optimized", "clifford"):
+        if not isinstance(art[key], str):
+            raise SchemaError(f'report artifacts "{key}" is not a path string')
+    if not isinstance(art["executed"], list) or not all(isinstance(p, str) for p in art["executed"]):
+        raise SchemaError('report artifacts "executed" is not a list of path strings')
     if report["mode"] == "observables":
         records = _observable_records(report)
     else:
@@ -285,10 +286,9 @@ def cmd_verify(args) -> int:
             raise SchemaError(f"report num_qubits {pa.n} does not match the input's {prob.n}")
         if not art["executed"]:
             raise SchemaError('report artifacts "executed" is empty')
-    opt = parse_qasm(Path(art["optimized"]).read_text(encoding="utf-8"))
-    cliff = parse_qasm(Path(art["clifford"]).read_text(encoding="utf-8"))
+    opt = parse_qasm(_read_text(art["optimized"], "optimized circuit"))
+    cliff = parse_qasm(_read_text(art["clifford"], "Clifford circuit"))
     native = native_circuit(prob.terms, prob.n)
-    cap = args.max_qubits
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -298,8 +298,8 @@ def cmd_verify(args) -> int:
             failures += 1
 
     check("input digest matches report", report["input_digest"] == _digest(args.input))
-    u_full = circuit_unitary(cliff, cap) @ circuit_unitary(opt, cap)
-    check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native, cap), 1e-9))
+    u_full = circuit_unitary(cliff) @ circuit_unitary(opt)
+    check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native), 1e-9))
 
     check("cnot_after matches artifact", m["cnot_after"] == cnot_count(opt))
     check("entangling_depth_after matches artifact", m["entangling_depth_after"] == entangling_depth(opt))
@@ -309,14 +309,14 @@ def cmd_verify(args) -> int:
         ok = True
         for rec in records:
             unsigned = parse_pauli(rec.transformed.letters())
-            lhs = expectation(native, rec.original, cap)
-            rhs = rec.transformed.sign * expectation(opt, unsigned, cap)
+            lhs = expectation(native, rec.original)
+            rhs = rec.transformed.sign * expectation(opt, unsigned)
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
     else:
-        executed = parse_qasm(Path(art["executed"][0]).read_text(encoding="utf-8"))
-        p_full = probabilities(native, cap)
-        p_exec = probabilities(executed, cap)
+        executed = parse_qasm(_read_text(art["executed"][0], "executed circuit"))
+        p_full = probabilities(native)
+        p_exec = probabilities(executed)
         mapped = _network_map(pa.network, prob.n)
         ok = all(abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9 for idx in range(2**prob.n))
         check("output distribution", ok)
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="dense cross-check of emitted artifacts")
     ver.add_argument("input")
     ver.add_argument("--report", default="report.json")
-    ver.add_argument("--max-qubits", type=int, default=10)
     ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -390,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TooLarge as exc:
-        return _fail(f"{exc}; sample a subset of terms or raise --max-qubits")
+        return _fail(f"{exc}; verify a smaller instance or a subset of terms")
     except CliffexError as exc:
         return _fail(str(exc))
     except FileNotFoundError as exc:

@@ -173,6 +173,25 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; a missing or unreadable
+    file, a directory or bytes that are not UTF-8 raise SchemaError
+    naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path, what: str):
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_terms(path) -> LoadedProblem:
     """Load and validate the standard input JSON.
 
@@ -181,21 +200,18 @@ def load_terms(path) -> LoadedProblem:
     The default mode is "observables" when observables are present,
     otherwise "probabilities".
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    data = _read_json(path, "input")
     _require(isinstance(data, dict), "top level must be a JSON object")
     _require("num_qubits" in data, 'missing "num_qubits"')
     n = data["num_qubits"]
-    _require(isinstance(n, int) and n >= 1, '"num_qubits" must be a positive integer')
+    _require(type(n) is int and n >= 1, '"num_qubits" must be a positive integer')
     _require(isinstance(data.get("terms"), list) and data["terms"], '"terms" must be a non-empty list')
     terms: list[PauliTerm] = []
     for k, entry in enumerate(data["terms"]):
         _require(isinstance(entry, dict), f"terms[{k}] must be an object")
         _require("pauli" in entry, f'terms[{k}] missing "pauli"')
         _require("coeff" in entry, f'terms[{k}] missing "coeff"')
+        _require(isinstance(entry["pauli"], str), f'terms[{k}]: "pauli" must be a string')
         p = parse_pauli(entry["pauli"])
         if p.n != n:
             raise LengthMismatch(
@@ -203,7 +219,7 @@ def load_terms(path) -> LoadedProblem:
             )
         coeff = entry["coeff"]
         _require(
-            isinstance(coeff, (int, float)) and math.isfinite(coeff),
+            type(coeff) in (int, float) and math.isfinite(coeff),
             f"terms[{k}]: coeff must be a finite number",
         )
         terms.append(PauliTerm(p, float(coeff)))

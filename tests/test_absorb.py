@@ -8,7 +8,6 @@ from cliffex import (
     CountsHistogram,
     absorb_observables,
     absorb_probabilities,
-    apply_network,
     cx,
     extract,
     h,
@@ -18,7 +17,7 @@ from cliffex import (
     postprocess_counts,
     s,
 )
-from cliffex.absorb import ProbabilityAbsorption
+from cliffex.absorb import ProbabilityAbsorption, _network_map
 from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, expectation, probabilities
 from cliffex.pauli import PauliString, PauliTerm
@@ -140,11 +139,31 @@ def test_absorb_empty_circuit():
 
 def test_absorb_rejects_uncombinable():
     with pytest.raises(NotReducible):
-        absorb_probabilities(Circuit(2, (h(0), cx(0, 1))))
-    with pytest.raises(NotReducible):
         absorb_probabilities(Circuit(2, (cx(0, 1), h(0))))
     with pytest.raises(NonHCnotGate):
         absorb_probabilities(Circuit(2, (s(0),)))
+    with pytest.raises(NonHCnotGate):
+        absorb_probabilities(Circuit(2, (s(0), cx(0, 1))))
+
+
+def test_absorb_probabilities_examples():
+    def form(*gates):
+        pa = absorb_probabilities(Circuit(2, gates))
+        return pa.h_mask, pa.network
+
+    assert form(h(0), h(1), cx(0, 1)) == (frozenset({0, 1}), ((0, 1),))
+    assert form(cx(0, 1)) == (frozenset(), ((0, 1),))
+    assert form(h(0), cx(0, 1)) == (frozenset({0}), ((0, 1),))
+    # both qubits see a later Hadamard: the CNOT reverses
+    assert form(cx(0, 1), h(0), h(1)) == (frozenset({0, 1}), ((1, 0),))
+    assert form() == (frozenset(), ())
+
+
+def _measurement_side(pa):
+    # executed-side semantics: H layer first, then the network
+    layer = circuit_unitary(Circuit(pa.n, tuple(h(q) for q in sorted(pa.h_mask))))
+    net = circuit_unitary(Circuit(pa.n, tuple(cx(c, t) for c, t in pa.network)))
+    return net @ layer
 
 
 def test_measurement_side_network_matches_dense():
@@ -166,9 +185,7 @@ def test_measurement_side_network_matches_dense():
             gates.append(cx(int(c), int(t)))
         circ = Circuit(n, tuple(gates))
         pa = absorb_probabilities(circ)
-        layer = circuit_unitary(Circuit(n, tuple(h(q) for q in sorted(pa.h_mask))))
-        net = circuit_unitary(Circuit(n, tuple(cx(c, t) for c, t in pa.network)))
-        assert equivalent_up_to_phase(net @ layer, circuit_unitary(circ), 1e-12)
+        assert equivalent_up_to_phase(_measurement_side(pa), circuit_unitary(circ), 1e-12)
 
 
 @st.composite
@@ -187,10 +204,42 @@ def test_absorb_probabilities_refuses_or_is_exact(circ):
         pa = absorb_probabilities(circ)
     except NotReducible:
         return
-    gates = tuple(h(q) for q in sorted(pa.h_mask)) + tuple(cx(c, t) for c, t in pa.network)
-    assert equivalent_up_to_phase(
-        circuit_unitary(Circuit(circ.n, gates)), circuit_unitary(circ), 1e-12
-    )
+    assert equivalent_up_to_phase(_measurement_side(pa), circuit_unitary(circ), 1e-12)
+
+
+def _two_pass_reference(circ):
+    """The former absorption, None where it refused: collapse the
+    Hadamards into a layer behind the network (swapping each CNOT seen
+    with both qubits pending), then commute the network through the
+    layer to the measurement side (swapping it again when both qubits
+    are in the mask)."""
+    pending, behind = set(), []
+    for g in circ.gates:
+        if g.kind == "h":
+            pending ^= {g.qubits[0]}
+            continue
+        c, t = g.qubits
+        if (c in pending) != (t in pending):
+            return None
+        behind.append((t, c) if c in pending else (c, t))
+    measured = []
+    for c, t in behind:
+        if (c in pending) != (t in pending):
+            return None
+        measured.append((t, c) if c in pending else (c, t))
+    return frozenset(pending), tuple(measured)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_h_cx_circuits())
+def test_sweep_matches_two_pass_reference(circ):
+    # the sweep accepts whatever the two passes accepted, with the same
+    # mask and network (and, by the property above, it is dense-exact
+    # wherever it accepts)
+    expected = _two_pass_reference(circ)
+    if expected is not None:
+        pa = absorb_probabilities(circ)
+        assert (pa.h_mask, pa.network) == expected
 
 
 def test_postprocess_examples():
@@ -251,10 +300,11 @@ def _networks_and_histograms(draw):
 @given(_networks_and_histograms())
 def test_composed_network_matches_gate_by_gate_replay(case):
     pa, hist = case
+    mapped = _network_map(pa.network, pa.n)
     expected: dict[str, int] = {}
     for bits, c in hist.counts.items():
-        assert apply_network(pa.network, bits) == _replay_network(pa.network, bits)
         key = _replay_network(pa.network, bits)
+        assert format(mapped(int("0" + bits, 2)) | 1 << pa.n, "b")[1:] == key
         expected[key] = expected.get(key, 0) + c
     out = postprocess_counts(pa, hist)
     assert list(out.counts.items()) == list(expected.items())
@@ -284,10 +334,9 @@ def test_probability_distribution_equality_qaoa_form():
         executed = Circuit(n, res.opt_circuit.gates + tuple(h(q) for q in sorted(pa.h_mask)))
         p_full = probabilities(native_circuit(terms))
         p_exec = probabilities(executed)
+        mapped = _network_map(pa.network, n)
         for idx in range(2**n):
-            bits = format(idx, f"0{n}b")
-            mapped = int(apply_network(pa.network, bits), 2)
-            assert abs(p_full[mapped] - p_exec[idx]) <= 1e-9
+            assert abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9
 
 
 # ------------------------------------------------------------ expectations

@@ -9,7 +9,6 @@ from cliffex import (
     Circuit,
     absorb_observables,
     absorb_probabilities,
-    apply_network,
     cnot_count,
     cx,
     extract,
@@ -21,6 +20,7 @@ from cliffex import (
     peephole,
     tree_synthesis,
 )
+from cliffex.absorb import _network_map
 from cliffex.extract import _chain_tree, basis_change_gates
 from cliffex.oracle import (
     circuit_unitary,
@@ -135,9 +135,9 @@ def test_triangle_qaoa_pipeline():
         executed = Circuit(3, opt.gates + tuple(h(q) for q in sorted(pa.h_mask)))
         p_full = probabilities(native_circuit(terms))
         p_exec = probabilities(executed)
+        mapped = _network_map(pa.network, 3)
         for idx in range(8):
-            mapped = int(apply_network(pa.network, format(idx, "03b")), 2)
-            ok = ok and abs(p_full[mapped] - p_exec[idx]) <= 1e-9
+            ok = ok and abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9
     report(
         "triangle alternating-layer pipeline",
         ok and cnots == 5 and mask_size == 3,
@@ -237,9 +237,9 @@ def test_counts_postprocessing_random():
         truncated = Circuit(n, tuple(body) + tuple(h(q) for q in sorted(pa.h_mask)))
         p_full = probabilities(full)
         p_trunc = probabilities(truncated)
+        mapped = _network_map(pa.network, n)
         for idx in range(2**n):
-            mapped = int(apply_network(pa.network, format(idx, f"0{n}b")), 2)
-            ok = ok and abs(p_full[mapped] - p_trunc[idx]) <= 1e-9
+            ok = ok and abs(p_full[mapped(idx)] - p_trunc[idx]) <= 1e-9
     report("100 random reducible tails: bitstring rewrite matches", ok)
 
 

@@ -141,12 +141,15 @@ def test_verify_observables_mode(tmp_path, two_rotation_input):
     assert run("verify", two_rotation_input, "--report", tmp_path / "report.json") == 0
 
 
-def test_verify_too_large(tmp_path):
+def test_verify_too_large(tmp_path, capsys):
     inp = write_json(
         tmp_path / "big.json",
         {"num_qubits": 12, "terms": [{"pauli": "Z" * 12, "coeff": 0.1}]},
     )
     assert run("verify", inp, "--report", tmp_path / "nope.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dense-simulation cap of 10" in err and "--max-qubits" not in err
 
 
 def test_verify_generated_instances_end_to_end(tmp_path):
@@ -350,6 +353,39 @@ def test_malformed_counts_exits_2(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("optimized", lambda d: 5, '"optimized" is not a path string', id="number"),
+        pytest.param("clifford", lambda d: [str(d / "clifford.qasm")],
+                     '"clifford" is not a path string', id="list"),
+        pytest.param("executed", lambda d: "abc", '"executed" is not a list of path strings',
+                     id="executed-string"),
+        pytest.param("executed", lambda d: [5], '"executed" is not a list of path strings',
+                     id="executed-number"),
+        pytest.param("optimized", str, "cannot read optimized circuit", id="directory"),
+        pytest.param("clifford", lambda d: str(d / "bad.qasm"), "cannot read Clifford circuit",
+                     id="not-utf8"),
+        pytest.param("optimized", lambda d: str(d / "absent.qasm"),
+                     "cannot read optimized circuit", id="absent"),
+        pytest.param("executed", lambda d: [str(d)], "cannot read executed circuit",
+                     id="executed-directory"),
+    ],
+)
+def test_verify_bad_artifact_path_exits_2(tmp_path, capsys, triangle_input, key, value, message):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    (tmp_path / "bad.qasm").write_bytes(b"OPENQASM 2.0;\n// \xff\n")
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report["artifacts"][key] = value(tmp_path)
+    write_json(report_path, report)
+    capsys.readouterr()
+    assert run("verify", triangle_input, "--report", report_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("payload", [b"\xff\xfe", b"[1, 2]", b"5"], ids=["not-utf8", "list", "number"])
 def test_report_not_a_json_object_exits_2(tmp_path, capsys, triangle_input, payload):
     report = tmp_path / "report.json"
@@ -391,10 +427,21 @@ def test_optimize_is_byte_deterministic(tmp_path, triangle_input):
     assert outputs[0] == outputs[1]
 
 
-def test_malformed_input_exits_2(tmp_path):
+def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    assert run("optimize", bad) == 2
+    term = {"pauli": "ZZ", "coeff": 0.1}
+    for payload in (
+        b"{nope",
+        b'{"num_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 0.1}]}\xff',
+        json.dumps({"num_qubits": 2, "terms": [{"pauli": 5, "coeff": 0.1}]}).encode(),
+        json.dumps({"num_qubits": True, "terms": [{"pauli": "Z", "coeff": 0.1}]}).encode(),
+        json.dumps({"num_qubits": 2, "terms": [term, {"pauli": "ZZ", "coeff": True}]}).encode(),
+    ):
+        bad.write_bytes(payload)
+        capsys.readouterr()
+        assert run(*_opt_args(tmp_path, bad)) == 2
+        assert _one_error_line(capsys)
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -138,3 +138,15 @@ def test_load_terms_schema_errors(tmp_path):
     p.write_text("not json")
     with pytest.raises(SchemaError):
         load_terms(p)
+    p.write_bytes(b'{"num_qubits": 1, "terms": [{"pauli": "Z", "coeff": 1.0}]}\xff')
+    with pytest.raises(SchemaError, match="cannot read input"):
+        load_terms(p)
+    p.write_text(json.dumps({"num_qubits": 1, "terms": [{"pauli": 5, "coeff": 1.0}]}))
+    with pytest.raises(SchemaError, match=r"terms\[0\]: \"pauli\" must be a string"):
+        load_terms(p)
+    p.write_text(json.dumps({"num_qubits": True, "terms": [{"pauli": "Z", "coeff": 1.0}]}))
+    with pytest.raises(SchemaError, match="num_qubits"):
+        load_terms(p)
+    p.write_text(json.dumps({"num_qubits": 1, "terms": [{"pauli": "Z", "coeff": True}]}))
+    with pytest.raises(SchemaError, match="coeff"):
+        load_terms(p)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cliffex import Circuit, cx, h, parse_pauli, rz, s, sdg
-from cliffex.errors import InvalidSize, LengthMismatch, NonHCnotGate, NotReducible
+from cliffex import Circuit, absorb_probabilities, cx, h, parse_pauli, rz, s, sdg
+from cliffex.errors import InvalidSize, LengthMismatch
 from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
-from cliffex.absorb import decompose_h_cnot
 from cliffex.tableau import ConjugationTableau
 
 
@@ -159,27 +158,16 @@ def test_extracted_circuit_inverts_log():
         assert np.allclose(u, np.eye(2**n), atol=1e-12)
 
 
-def test_decompose_examples():
-    mask, network = decompose_h_cnot(Circuit(2, (h(0), h(1), cx(0, 1))))
-    assert mask == frozenset({0, 1})
-    assert network == ((1, 0),)
-    mask, network = decompose_h_cnot(Circuit(2, (cx(0, 1),)))
-    assert mask == frozenset() and network == ((0, 1),)
-    with pytest.raises(NotReducible):
-        decompose_h_cnot(Circuit(2, (h(0), cx(0, 1))))
-    with pytest.raises(NonHCnotGate):
-        decompose_h_cnot(Circuit(2, (s(0), cx(0, 1))))
-    assert decompose_h_cnot(Circuit(2)) == (frozenset(), ())
-
-
-def _hadamard_layer_form(n, mask, network):
-    # dense(H on mask) @ dense(network)
+def _measurement_side_form(n, mask, network):
+    # dense(network) @ dense(H on mask): the H layer runs first
     layer = circuit_unitary(Circuit(n, tuple(h(q) for q in sorted(mask))))
     net = circuit_unitary(Circuit(n, tuple(cx(c, t) for c, t in network)))
-    return layer @ net
+    return net @ layer
 
 
 def test_decompose_normal_form_is_dense_exact():
+    # drawn back to front, so each CNOT has both or neither of its
+    # qubits under an odd number of later Hadamards: always reducible
     rng = np.random.default_rng(37)
     for _ in range(40):
         n = int(rng.integers(2, 6))
@@ -198,15 +186,17 @@ def test_decompose_normal_form_is_dense_exact():
                     continue
                 c, t = rng.choice(side, size=2, replace=False)
                 gates.append(cx(int(c), int(t)))
-        circ = Circuit(n, tuple(gates))
-        mask, network = decompose_h_cnot(circ)
-        got = _hadamard_layer_form(n, mask, network)
+        circ = Circuit(n, tuple(reversed(gates)))
+        pa = absorb_probabilities(circ)
+        got = _measurement_side_form(n, pa.h_mask, pa.network)
         assert equivalent_up_to_phase(got, circuit_unitary(circ), 1e-12)
 
 
 def test_single_hadamard_before_cnot_has_no_form():
-    # exhaustive n=2 search: no Hadamard-layer/CNOT-network split matches
-    target = circuit_unitary(Circuit(2, (h(0), cx(0, 1))))
+    # exhaustive n=2 search: no Hadamard layer followed by a CNOT network
+    # matches cx(0,1) then h(0) (as a matrix, H_0 before CX), so refusing
+    # it is necessary
+    target = circuit_unitary(Circuit(2, (cx(0, 1), h(0))))
     networks = [()]
     frontier = [()]
     for _ in range(4):
@@ -218,4 +208,4 @@ def test_single_hadamard_before_cnot_has_no_form():
         frontier = new
     for mask in ((), (0,), (1,), (0, 1)):
         for net in networks:
-            assert not equivalent_up_to_phase(_hadamard_layer_form(2, mask, net), target, 1e-9)
+            assert not equivalent_up_to_phase(_measurement_side_form(2, mask, net), target, 1e-9)
