@@ -83,9 +83,6 @@ class Circuit:
             if any(q >= self.n for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.n} qubits")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def cnot_count(c: Circuit) -> int:
     """Number of CNOT gates."""
@@ -180,8 +177,23 @@ _QASM_RZ = re.compile(r"^rz\(([-+0-9.eE]+)\)\s+q\[(\d+)\]$")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\]$")
 
 
+def _qasm_gate(stmt: str) -> Gate:
+    m = _QASM_1Q.match(stmt)
+    if m:
+        return Gate(m.group(1), (int(m.group(2)),))
+    m = _QASM_CX.match(stmt)
+    if m:
+        return cx(int(m.group(1)), int(m.group(2)))
+    m = _QASM_RZ.match(stmt)
+    if m:
+        return rz(int(m.group(2)), float(m.group(1)))
+    raise ValueError("unsupported statement")
+
+
 def parse_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM subset produced by :func:`emit_qasm`."""
+    """Parse the OpenQASM subset produced by :func:`emit_qasm`.  Text
+    outside that subset, including a gate that is invalid or leaves the
+    declared register, raises SchemaError naming the statement."""
     n = None
     gates: list[Gate] = []
     for raw in text.splitlines():
@@ -193,25 +205,19 @@ def parse_qasm(text: str) -> Circuit:
         stmt = stmt[:-1].strip()
         if stmt == "OPENQASM 2.0" or stmt == 'include "qelib1.inc"':
             continue
-        m = _QASM_QREG.match(stmt)
-        if m:
-            n = int(m.group(1))
-            continue
-        if n is None:
-            raise SchemaError("gate before qreg declaration")
-        m = _QASM_1Q.match(stmt)
-        if m:
-            gates.append(Gate(m.group(1), (int(m.group(2)),)))
-            continue
-        m = _QASM_CX.match(stmt)
-        if m:
-            gates.append(cx(int(m.group(1)), int(m.group(2))))
-            continue
-        m = _QASM_RZ.match(stmt)
-        if m:
-            gates.append(rz(int(m.group(2)), float(m.group(1))))
-            continue
-        raise SchemaError(f"unsupported qasm statement: {stmt!r}")
+        try:
+            m = _QASM_QREG.match(stmt)
+            if m and n is None:
+                n = int(m.group(1))
+                continue
+            if n is None:
+                raise ValueError("gate before qreg declaration")
+            g = _qasm_gate(stmt)
+            if max(g.qubits) >= n:
+                raise ValueError(f"qubit {max(g.qubits)} outside the {n}-qubit register")
+        except ValueError as exc:
+            raise SchemaError(f"bad qasm statement {stmt!r}: {exc}") from None
+        gates.append(g)
     if n is None:
         raise SchemaError("qasm text lacks a qreg declaration")
     return Circuit(n, tuple(gates))

@@ -29,13 +29,7 @@ from .absorb import (
 from .circuit import Circuit, cnot_count, emit_qasm, entangling_depth, h, parse_qasm, peephole
 from .errors import CliffexError, NonHCnotGate, NotReducible, SchemaError, TooLarge
 from .extract import extract, native_circuit
-from .oracle import (
-    DEFAULT_CAP,
-    circuit_unitary,
-    equivalent_up_to_phase,
-    expectation,
-    probabilities,
-)
+from .oracle import _check_cap, circuit_unitary, equivalent_up_to_phase, expectation, probabilities
 from .pauli import parse_pauli
 from .problems import (
     ProblemSpec,
@@ -72,11 +66,8 @@ def _executed_paths(out_path: str, mode: str, count: int) -> list[str]:
 
 def cmd_gen(args) -> int:
     if args.kind == "maxcut":
-        if (args.degree is None) == (args.edges is None):
-            return _fail("pass exactly one of --degree or --edges")
         spec = ProblemSpec(
-            "maxcut_random" if args.degree is None else "maxcut_regular", args.nodes,
-            degree=args.degree, edges=args.edges, seed=args.seed, layers=args.layers,
+            args.nodes, degree=args.degree, edges=args.edges, seed=args.seed, layers=args.layers,
             gammas=_angles(args.gamma, args.layers), betas=_angles(args.beta, args.layers),
         )
         terms = gen_maxcut(spec)
@@ -86,7 +77,7 @@ def cmd_gen(args) -> int:
             args.n, args.layers, _angles(args.gamma, args.layers), _angles(args.beta, args.layers)
         )
         n = args.n
-    _write_json(args.out, to_input_dict(n, terms, mode="probabilities"))
+    _write_json(args.out, to_input_dict(n, terms))
     print(f"wrote {len(terms)} terms on {n} qubits to {args.out}")
     return OK
 
@@ -107,7 +98,7 @@ def cmd_optimize(args) -> int:
     if mode == "observables" and not prob.observables:
         return _fail("observable mode needs an 'observables' list in the input")
     result = extract(prob.terms)
-    opt = result.opt_circuit if args.no_peephole else peephole(result.opt_circuit)
+    opt = peephole(result.opt_circuit)
     native = native_circuit(prob.terms, prob.n)
 
     report: dict = {
@@ -263,10 +254,22 @@ def cmd_map_expectations(args) -> int:
     return OK
 
 
+def _artifact(path: str, what: str, n: int) -> Circuit:
+    """The circuit in a report's artifact file, which must declare the
+    input's ``n`` qubits."""
+    text = _read_text(path, what)
+    try:
+        circ = parse_qasm(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{what} {path}: {exc}") from None
+    if circ.n != n:
+        raise SchemaError(f"{what} {path} declares {circ.n} qubits, the input has {n}")
+    return circ
+
+
 def cmd_verify(args) -> int:
     prob = load_terms(args.input)
-    if prob.n > DEFAULT_CAP:
-        raise TooLarge(f"{prob.n} qubits exceeds the dense-simulation cap of {DEFAULT_CAP}")
+    _check_cap(prob.n)
     report = _load_report(args.report)
     _require(report, ("input_digest", "mode", "metrics", "artifacts"), "report")
     m = _require(
@@ -286,8 +289,8 @@ def cmd_verify(args) -> int:
             raise SchemaError(f"report num_qubits {pa.n} does not match the input's {prob.n}")
         if not art["executed"]:
             raise SchemaError('report artifacts "executed" is empty')
-    opt = parse_qasm(_read_text(art["optimized"], "optimized circuit"))
-    cliff = parse_qasm(_read_text(art["clifford"], "Clifford circuit"))
+    opt = _artifact(art["optimized"], "optimized circuit", prob.n)
+    cliff = _artifact(art["clifford"], "Clifford circuit", prob.n)
     native = native_circuit(prob.terms, prob.n)
     failures = 0
 
@@ -298,7 +301,7 @@ def cmd_verify(args) -> int:
             failures += 1
 
     check("input digest matches report", report["input_digest"] == _digest(args.input))
-    u_full = circuit_unitary(cliff) @ circuit_unitary(opt)
+    u_full = circuit_unitary(Circuit(prob.n, opt.gates + cliff.gates))
     check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native), 1e-9))
 
     check("cnot_after matches artifact", m["cnot_after"] == cnot_count(opt))
@@ -314,7 +317,7 @@ def cmd_verify(args) -> int:
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
     else:
-        executed = parse_qasm(_read_text(art["executed"][0], "executed circuit"))
+        executed = _artifact(art["executed"][0], "executed circuit", prob.n)
         p_full = probabilities(native)
         p_exec = probabilities(executed)
         mapped = _network_map(pa.network, prob.n)
@@ -361,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--out", default="opt.qasm")
     opt.add_argument("--clifford", default="clifford.qasm")
     opt.add_argument("--report", default="report.json")
-    opt.add_argument("--no-peephole", action="store_true")
     opt.set_defaults(func=cmd_optimize)
 
     post = sub.add_parser("postprocess", help="rewrite measured counts through the CNOT network")

@@ -210,17 +210,15 @@ def tree_synthesis(
     return [cx(a, b) for a, b in out], root
 
 
-def _score_candidates(rows: list[int], lo: int, px: int, pz: int, n: int) -> int:
+def _score_candidates(rows: list[int], lo: int, smask: int, layer: list[Gate], n: int) -> int:
     """Index of the candidate row (positions >= ``lo``, conjugated through
     the tableau and packed as x | z << n) with the fewest non-identity
-    letters after simulating the current string's basis layer and a
-    non-recursive tree keyed on that candidate; ties go to the lowest
-    index.  Both layers act only on the current support S, so the letters
-    off S count as they are and the weight left on S is simulated once
-    per distinct pattern."""
-    smask = px | pz
+    letters after simulating the current string's basis ``layer`` and a
+    non-recursive tree over its support ``smask`` keyed on that candidate;
+    ties go to the lowest index.  Both act only on the support S, so the
+    letters off S count as they are and the weight left on S is simulated
+    once per distinct pattern."""
     supp = _support(smask)
-    basis = basis_change_gates(PauliString(n, px, pz))
     full = (1 << n) - 1
     mask, off = smask | smask << n, full & ~smask
     memo: dict[int, int] = {}
@@ -231,7 +229,7 @@ def _score_candidates(rows: list[int], lo: int, px: int, pz: int, n: int) -> int
             w = memo.get(key)
             if w is None:
                 bx, bz = key & full, key >> n
-                for g in basis:
+                for g in layer:
                     bx, bz, _ = _conj_gate(bx, bz, g.kind, g.qubits)
                 for ct in _chain_tree(supp, bx, bz):
                     bx, bz, _ = _conj_gate(bx, bz, "cx", ct)
@@ -295,8 +293,9 @@ def extract(terms) -> ExtractionResult:
         for i in range(len(work)):
             orig_idx, term = work[i]
             px, pz, psign = rows[i] & full, rows[i] >> n, signs[i]
+            layer = basis_change_gates(PauliString(n, px, pz))
             if i + 1 < len(work):
-                j = _score_candidates(rows, i + 1, px, pz, n)
+                j = _score_candidates(rows, i + 1, px | pz, layer, n)
                 if j != i + 1:
                     work.insert(i + 1, work.pop(j))
                     rows.insert(i + 1, rows.pop(j))
@@ -304,7 +303,6 @@ def extract(terms) -> ExtractionResult:
                     seq.insert(pos + i + 1, seq.pop(pos + j))
                     reorders += 1
             supp = _support(px | pz)
-            layer = basis_change_gates(PauliString(n, px, pz))
             for g in layer:
                 gates.append(g)
                 tab.append_gate(g)

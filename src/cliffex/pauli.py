@@ -81,9 +81,6 @@ class PauliString:
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(_support(self.x | self.z))
-
     def commutes(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise LengthMismatch(f"cannot compare {self.n}- and {other.n}-qubit strings")

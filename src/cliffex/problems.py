@@ -28,7 +28,9 @@ def default_betas(layers: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    kind: str  # maxcut_regular | maxcut_random | labs
+    """A MaxCut instance: a ``degree``-regular graph or a random graph with
+    ``edges`` edges on ``n`` nodes; exactly one of the two is given."""
+
     n: int
     degree: int | None = None
     edges: int | None = None
@@ -38,8 +40,8 @@ class ProblemSpec:
     betas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("maxcut_regular", "maxcut_random", "labs"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+        if (self.degree is None) == (self.edges is None):
+            raise InvalidSize("pass exactly one of degree or edges")
         if self.n < 1:
             raise InvalidSize(f"node count must be positive, got {self.n}")
         if self.layers < 1:
@@ -47,16 +49,16 @@ class ProblemSpec:
         for name, lst in (("gammas", self.gammas), ("betas", self.betas)):
             if lst is not None and len(lst) != self.layers:
                 raise InvalidSize(f"{name} must have one entry per layer")
-        if self.kind == "maxcut_regular":
-            if self.degree is None or self.degree < 1 or self.degree >= self.n:
+        if self.degree is not None:
+            if self.degree < 1 or self.degree >= self.n:
                 raise InfeasibleDegree(f"degree {self.degree} infeasible on {self.n} nodes")
             if (self.n * self.degree) % 2:
                 raise InfeasibleDegree(
                     f"no {self.degree}-regular graph on {self.n} nodes (odd stub count)"
                 )
-        if self.kind == "maxcut_random":
+        else:
             limit = self.n * (self.n - 1) // 2
-            if self.edges is None or not 0 <= self.edges <= limit:
+            if not 0 <= self.edges <= limit:
                 raise InvalidSize(f"edge count must lie in [0, {limit}]")
 
 
@@ -97,11 +99,9 @@ def _random_graph(n: int, edges: int, seed: int) -> list[tuple[int, int]]:
 
 
 def maxcut_edges(spec: ProblemSpec) -> list[tuple[int, int]]:
-    if spec.kind == "maxcut_regular":
+    if spec.degree is not None:
         return _regular_graph(spec.n, spec.degree, spec.seed)
-    if spec.kind == "maxcut_random":
-        return _random_graph(spec.n, spec.edges, spec.seed)
-    raise ValueError(f"{spec.kind} is not a MaxCut kind")
+    return _random_graph(spec.n, spec.edges, spec.seed)
 
 
 def gen_maxcut(spec: ProblemSpec) -> list[PauliTerm]:
@@ -241,19 +241,11 @@ def load_terms(path) -> LoadedProblem:
     return LoadedProblem(n, terms, observables, mode)
 
 
-def to_input_dict(
-    n: int,
-    terms: list[PauliTerm],
-    observables: list[PauliString] | None = None,
-    mode: str | None = None,
-) -> dict:
-    """Standard input JSON payload for a term list."""
-    out: dict = {
+def to_input_dict(n: int, terms: list[PauliTerm]) -> dict:
+    """Standard input JSON payload for a generated term list, in
+    probabilities mode."""
+    return {
         "num_qubits": n,
         "terms": [{"pauli": t.pauli.label(), "coeff": t.coeff} for t in terms],
+        "mode": "probabilities",
     }
-    if observables:
-        out["observables"] = [o.label() for o in observables]
-    if mode is not None:
-        out["mode"] = mode
-    return out

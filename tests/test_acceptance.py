@@ -178,9 +178,9 @@ def test_extraction_roundtrip_random():
 
 
 def test_generator_counts():
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 20, degree=8, seed=7))
+    t = gen_maxcut(ProblemSpec(20, degree=8, seed=7))
     ok = len(t) == 100 and cnot_count(native_circuit(t)) == 160
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 15, degree=4, seed=7))
+    t = gen_maxcut(ProblemSpec(15, degree=4, seed=7))
     ok = ok and len(t) == 45 and cnot_count(native_circuit(t)) == 60
     t = gen_labs(10)
     ok = ok and len(t) == 80 and cnot_count(native_circuit(t)) == 340
@@ -191,7 +191,7 @@ def test_benchmark_cnot_budgets():
     details = []
     ok = True
     for seed in (0, 1, 2):
-        terms = gen_maxcut(ProblemSpec("maxcut_regular", 20, degree=8, seed=seed))
+        terms = gen_maxcut(ProblemSpec(20, degree=8, seed=seed))
         after = cnot_count(peephole(extract(terms).opt_circuit))
         details.append(f"mc-n20r8 seed{seed}: {after}")
         ok = ok and after <= 140

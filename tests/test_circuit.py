@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, rz, s, sdg
 from cliffex.circuit import Gate, inverse
-from cliffex.errors import SchemaError
+from cliffex.errors import CliffexError, SchemaError
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase
 
 
@@ -116,6 +120,55 @@ def test_parse_qasm_rejects_unknown():
         parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nt q[0];\n')
     with pytest.raises(SchemaError):
         parse_qasm("h q[0];\n")
+
+
+_QASM_CHARS = "hsdgcxrzqe[](),;.-+0123456789 /"
+
+
+@st.composite
+def _mutated_qasm(draw):
+    """Emitted QASM text with one line changed: a number swapped (a qubit
+    index, the register size or an angle), characters inserted or
+    deleted, or the whole line replaced."""
+    n = draw(st.integers(2, 4))
+    qubit = st.integers(0, n - 1)
+    gate = st.one_of(
+        st.builds(h, qubit),
+        st.builds(s, qubit),
+        st.builds(sdg, qubit),
+        st.builds(rz, qubit, st.floats(-3, 3)),
+        st.permutations(range(n)).map(lambda p: cx(p[0], p[1])),
+    )
+    lines = emit_qasm(Circuit(n, tuple(draw(st.lists(gate, max_size=6))))).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    how = draw(st.sampled_from(["number", "insert", "delete", "replace"]))
+    if how == "number":
+        spans = [m.span() for m in re.finditer(r"[-+0-9.eE]+", line)]
+        if spans:
+            a, b = draw(st.sampled_from(spans))
+            new = draw(st.sampled_from(["0", "1", "2", "3", "4", "7", "12", "-1", "0.5", "1e999"]))
+            line = line[:a] + new + line[b:]
+    elif how == "insert":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.text(_QASM_CHARS, min_size=1, max_size=4)) + line[i:]
+    elif how == "delete":
+        i = draw(st.integers(0, len(line) - 1))
+        line = line[:i] + line[draw(st.integers(i + 1, len(line))):]
+    else:
+        line = draw(st.text(_QASM_CHARS, max_size=24))
+    lines[k] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_qasm())
+def test_parse_qasm_mutation_parses_or_raises_cliffex_error(text):
+    try:
+        circ = parse_qasm(text)
+    except CliffexError:
+        return
+    assert all(max(g.qubits) < circ.n for g in circ.gates)
 
 
 def test_inverse():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cliffex.cli import main
-from cliffex.circuit import cnot_count, parse_qasm
+from cliffex.circuit import Circuit, cnot_count, emit_qasm, parse_qasm
 
 
 def run(*argv):
@@ -70,6 +70,10 @@ def test_gen_infeasible_degree(tmp_path):
         ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--layers", 0),
         ("gen", "maxcut", "--nodes", 6, "--edges", 99),
         ("gen", "maxcut", "--nodes", 0, "--edges", 0),
+        ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--edges", 5),
+        ("gen", "maxcut", "--nodes", 6),
+        ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--layers", 3, "--gamma", 0.1, "--gamma", 0.2),
+        ("gen", "labs", "--n", 5, "--layers", 2, "--beta", 0.1, "--beta", 0.2, "--beta", 0.3),
     ],
 )
 def test_gen_parameter_errors_exit_2(tmp_path, capsys, argv):
@@ -77,6 +81,23 @@ def test_gen_parameter_errors_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, coeffs",
+    [
+        (("maxcut", "--nodes", 4, "--degree", 2),
+         [0.1] * 4 + [0.3] * 4 + [0.2] * 4 + [0.4] * 4),
+        # LABS n3: one Z0 Z2 term of multiplicity 2, then the mixer
+        (("labs", "--n", 3), [0.2] + [0.3] * 3 + [0.4] + [0.4] * 3),
+    ],
+    ids=["maxcut", "labs"],
+)
+def test_gen_per_layer_angles(tmp_path, argv, coeffs):
+    out = tmp_path / "x.json"
+    angles = ("--layers", 2, "--gamma", 0.1, "--gamma", 0.2, "--beta", 0.3, "--beta", 0.4)
+    assert run("gen", *argv, *angles, "--out", out) == 0
+    assert [t["coeff"] for t in json.loads(out.read_text())["terms"]] == pytest.approx(coeffs)
 
 
 def test_optimize_observables(tmp_path, two_rotation_input):
@@ -215,6 +236,8 @@ def test_map_expectations(tmp_path):
                      "transformed is not a string", id="transformed-number"),
         pytest.param(lambda r: r["observables"][0].update(transformed=["Z"]),
                      "transformed is not a string", id="transformed-list"),
+        pytest.param(lambda r: r.pop("observables"), "lacks an 'observables' section",
+                     id="no-observables"),
     ],
 )
 def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_input, edit, message):
@@ -353,6 +376,18 @@ def test_malformed_counts_exits_2(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+def _edited(name, edit):
+    """A path maker: the artifact ``name`` with ``edit`` applied to its
+    text, written to edit.qasm."""
+
+    def make(d):
+        path = d / "edit.qasm"
+        path.write_text(edit((d / name).read_text()))
+        return str(path)
+
+    return make
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -370,6 +405,18 @@ def test_malformed_counts_exits_2(tmp_path, capsys, payload):
                      "cannot read optimized circuit", id="absent"),
         pytest.param("executed", lambda d: [str(d)], "cannot read executed circuit",
                      id="executed-directory"),
+        pytest.param("executed", lambda d: [], '"executed" is empty', id="executed-empty"),
+        pytest.param("optimized", _edited("opt.qasm", lambda t: t + "cx q[0],q[7];\n"),
+                     "'cx q[0],q[7]': qubit 7 outside the 3-qubit register", id="qubit-outside"),
+        pytest.param("clifford", _edited("clifford.qasm", lambda t: t + "cx q[1],q[1];\n"),
+                     "'cx q[1],q[1]': cx control and target must differ", id="control-is-target"),
+        pytest.param("executed", lambda d: [_edited("opt.executed.qasm",
+                                                    lambda t: t + "rz(1e999) q[0];\n")(d)],
+                     "'rz(1e999) q[0]': rz needs a finite angle", id="infinite-angle"),
+        pytest.param("optimized", _edited("opt.qasm", lambda t: t + "h q[0]\n"),
+                     "missing ';'", id="missing-semicolon"),
+        pytest.param("optimized", _edited("opt.qasm", lambda t: t.split("qreg")[0]),
+                     "lacks a qreg declaration", id="no-qreg"),
     ],
 )
 def test_verify_bad_artifact_path_exits_2(tmp_path, capsys, triangle_input, key, value, message):
@@ -384,6 +431,23 @@ def test_verify_bad_artifact_path_exits_2(tmp_path, capsys, triangle_input, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("qubits", [2, 4])
+@pytest.mark.parametrize("key", ["optimized", "clifford", "executed"])
+def test_verify_artifact_register_mismatch_exits_2(tmp_path, capsys, triangle_input, key, qubits):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    other = tmp_path / "other.qasm"
+    other.write_text(emit_qasm(Circuit(qubits)))
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report["artifacts"][key] = [str(other)] if key == "executed" else str(other)
+    write_json(report_path, report)
+    capsys.readouterr()
+    assert run("verify", triangle_input, "--report", report_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key} circuit" in err.lower() and f"declares {qubits} qubits, the input has 3" in err
 
 
 @pytest.mark.parametrize("payload", [b"\xff\xfe", b"[1, 2]", b"5"], ids=["not-utf8", "list", "number"])
@@ -444,8 +508,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert not (tmp_path / "report.json").exists()
 
 
-def test_missing_file_exits_2(tmp_path):
+def test_missing_file_exits_2(tmp_path, capsys, triangle_input):
     assert run("optimize", tmp_path / "absent.json") == 2
+    assert _one_error_line(capsys)
+    assert run(*_opt_args(tmp_path, triangle_input, "--out", tmp_path / "absent" / "opt.qasm")) == 2
+    assert _one_error_line(capsys)
 
 
 # sha256 of every emitted file and of report["metrics"] (canonical JSON).

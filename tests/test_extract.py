@@ -314,7 +314,8 @@ def test_score_candidates_matches_reference(case, lo):
         gx, gz, _ = tab.conj_raw(x, z, 1)
         rows.append(gx | gz << n)
     expected = lo + _reference_choice(n, prefix, strings, px, pz)
-    assert _score_candidates(rows, lo, px, pz, n) == expected
+    layer = basis_change_gates(PauliString(n, px, pz))
+    assert _score_candidates(rows, lo, px | pz, layer, n) == expected
 
 
 def test_extract_conjugations_are_linear_in_block_size(monkeypatch):

@@ -108,11 +108,54 @@ def test_expectation_examples():
         expectation(Circuit(2), parse_pauli("Z"))
 
 
+_GATE_MATS = {
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "s": np.diag([1, 1j]),
+    "sdg": np.diag([1, -1j]),
+}
+
+
+def _kron_gate(n, g):
+    """Dense matrix of one gate as a Kronecker product (qubit 0 outermost)."""
+
+    def on(ops):
+        m = np.eye(1)
+        for q in range(n):
+            m = np.kron(m, ops.get(q, np.eye(2)))
+        return m
+
+    if g.kind == "cx":
+        c, t = g.qubits
+        return on({c: np.diag([1, 0])}) + on({c: np.diag([0, 1]), t: np.array([[0, 1], [1, 0]])})
+    if g.kind == "rz":
+        return on({g.qubits[0]: np.diag([np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)])})
+    return on({g.qubits[0]: _GATE_MATS[g.kind]})
+
+
+def test_circuit_unitary_matches_kron_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        gates = []
+        for _ in range(int(rng.integers(0, 15))):
+            kind = str(rng.choice(["h", "s", "sdg", "rz", "cx"] if n > 1 else ["h", "s", "sdg", "rz"]))
+            if kind == "cx":
+                c, t = rng.choice(n, size=2, replace=False)
+                gates.append(cx(int(c), int(t)))
+            elif kind == "rz":
+                gates.append(rz(int(rng.integers(n)), float(rng.uniform(-3, 3))))
+            else:
+                gates.append({"h": h, "s": s, "sdg": sdg}[kind](int(rng.integers(n))))
+        ref = np.eye(2**n, dtype=complex)
+        for g in gates:
+            ref = _kron_gate(n, g) @ ref
+        c = Circuit(n, tuple(gates))
+        assert np.allclose(circuit_unitary(c), ref, atol=1e-12)
+        assert np.allclose(statevector(c), ref[:, 0], atol=1e-12)
+
+
 def test_too_large():
     with pytest.raises(TooLarge):
         statevector(Circuit(11))
     with pytest.raises(TooLarge):
         rotation_unitary(parse_pauli("Z" * 12), 0.1)
-    # configurable cap
-    with pytest.raises(TooLarge):
-        statevector(Circuit(4), cap=3)

@@ -3,43 +3,43 @@ import json
 import pytest
 
 from cliffex import absorb_probabilities, cnot_count, extract, gen_labs, gen_maxcut, load_terms, native_circuit
-from cliffex.errors import InfeasibleDegree, LengthMismatch, SchemaError
+from cliffex.errors import CliffexError, InfeasibleDegree, LengthMismatch, SchemaError
 from cliffex.problems import ProblemSpec, maxcut_edges, to_input_dict
 
 
 def test_triangle_terms():
-    spec = ProblemSpec("maxcut_regular", 3, degree=2, seed=0)
+    spec = ProblemSpec(3, degree=2, seed=0)
     terms = gen_maxcut(spec)
     assert [t.pauli.label() for t in terms] == ["ZZI", "ZIZ", "IZZ", "XII", "IXI", "IIX"]
     assert len(terms) == 6
 
 
 def test_regular_counts():
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 20, degree=8, seed=7))
+    t = gen_maxcut(ProblemSpec(20, degree=8, seed=7))
     assert len(t) == 100
     assert cnot_count(native_circuit(t)) == 160
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 15, degree=4, seed=7))
+    t = gen_maxcut(ProblemSpec(15, degree=4, seed=7))
     assert len(t) == 45
     assert cnot_count(native_circuit(t)) == 60
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 20, degree=12, seed=1))
+    t = gen_maxcut(ProblemSpec(20, degree=12, seed=1))
     assert len(t) == 140
     assert cnot_count(native_circuit(t)) == 240
-    t = gen_maxcut(ProblemSpec("maxcut_regular", 20, degree=4, seed=1))
+    t = gen_maxcut(ProblemSpec(20, degree=4, seed=1))
     assert len(t) == 60
     assert cnot_count(native_circuit(t)) == 80
 
 
 def test_random_graph_counts():
-    t = gen_maxcut(ProblemSpec("maxcut_random", 10, edges=12, seed=3))
+    t = gen_maxcut(ProblemSpec(10, edges=12, seed=3))
     assert len(t) == 22
-    t = gen_maxcut(ProblemSpec("maxcut_random", 20, edges=117, seed=3))
+    t = gen_maxcut(ProblemSpec(20, edges=117, seed=3))
     assert len(t) == 137
     assert cnot_count(native_circuit(t)) == 234
 
 
 def test_regular_graph_is_simple_and_regular():
     for seed in range(4):
-        edges = maxcut_edges(ProblemSpec("maxcut_regular", 12, degree=5, seed=seed))
+        edges = maxcut_edges(ProblemSpec(12, degree=5, seed=seed))
         assert len(edges) == len(set(edges)) == 30
         deg = [0] * 12
         for u, v in edges:
@@ -50,20 +50,26 @@ def test_regular_graph_is_simple_and_regular():
 
 
 def test_seeded_reproducibility():
-    a = gen_maxcut(ProblemSpec("maxcut_regular", 14, degree=3, seed=9))
-    b = gen_maxcut(ProblemSpec("maxcut_regular", 14, degree=3, seed=9))
+    a = gen_maxcut(ProblemSpec(14, degree=3, seed=9))
+    b = gen_maxcut(ProblemSpec(14, degree=3, seed=9))
     assert [(t.pauli.label(), t.coeff) for t in a] == [(t.pauli.label(), t.coeff) for t in b]
-    c = gen_maxcut(ProblemSpec("maxcut_regular", 14, degree=3, seed=10))
+    c = gen_maxcut(ProblemSpec(14, degree=3, seed=10))
     assert [t.pauli.label() for t in a] != [t.pauli.label() for t in c]
 
 
 def test_infeasible_degree():
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec("maxcut_regular", 3, degree=3)
+        ProblemSpec(3, degree=3)
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec("maxcut_regular", 5, degree=3)
+        ProblemSpec(5, degree=3)
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec("maxcut_regular", 4, degree=4)
+        ProblemSpec(4, degree=4)
+
+
+def test_spec_needs_exactly_one_of_degree_or_edges():
+    for kwargs in ({}, {"degree": 3, "edges": 12}):
+        with pytest.raises(CliffexError, match="exactly one of degree or edges"):
+            ProblemSpec(10, **kwargs)
 
 
 def test_labs_counts():
@@ -90,9 +96,9 @@ def test_labs_layering():
 
 def test_generated_instances_always_absorb():
     specs = [
-        ProblemSpec("maxcut_regular", 6, degree=3, seed=2, layers=2),
-        ProblemSpec("maxcut_random", 7, edges=9, seed=5, layers=3),
-        ProblemSpec("maxcut_regular", 3, degree=2, seed=0, layers=1),
+        ProblemSpec(6, degree=3, seed=2, layers=2),
+        ProblemSpec(7, edges=9, seed=5, layers=3),
+        ProblemSpec(3, degree=2, seed=0, layers=1),
     ]
     instances = [gen_maxcut(s) for s in specs] + [gen_labs(6, 2), gen_labs(5, 3)]
     for terms in instances:
@@ -102,10 +108,10 @@ def test_generated_instances_always_absorb():
 
 
 def test_load_terms_roundtrip(tmp_path):
-    spec = ProblemSpec("maxcut_regular", 3, degree=2, seed=0, gammas=(0.3,), betas=(0.5,))
+    spec = ProblemSpec(3, degree=2, seed=0, gammas=(0.3,), betas=(0.5,))
     terms = gen_maxcut(spec)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(to_input_dict(3, terms, mode="probabilities")))
+    path.write_text(json.dumps(to_input_dict(3, terms)))
     prob = load_terms(path)
     assert prob.n == 3
     assert prob.mode == "probabilities"
