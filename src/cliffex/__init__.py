@@ -33,7 +33,6 @@ from .extract import (
     convert_commute_sets,
     extract,
     native_circuit,
-    tree_synthesis,
 )
 from .pauli import PauliString, PauliTerm, multiply, parse_pauli
 from .problems import LoadedProblem, ProblemSpec, gen_labs, gen_maxcut, load_terms
@@ -76,5 +75,4 @@ __all__ = [
     "rz",
     "s",
     "sdg",
-    "tree_synthesis",
 ]

@@ -26,9 +26,9 @@ from .absorb import (
     map_expectations,
     postprocess_counts,
 )
-from .circuit import Circuit, cnot_count, emit_qasm, entangling_depth, h, parse_qasm, peephole
+from .circuit import Circuit, Gate, cnot_count, emit_qasm, entangling_depth, h, parse_qasm, peephole
 from .errors import CliffexError, NonHCnotGate, NotReducible, SchemaError, TooLarge
-from .extract import extract, native_circuit
+from .extract import basis_change_gates, extract, native_circuit
 from .oracle import _check_cap, circuit_unitary, equivalent_up_to_phase, expectation, probabilities
 from .pauli import parse_pauli
 from .problems import (
@@ -97,6 +97,12 @@ def cmd_optimize(args) -> int:
     mode = args.mode or prob.mode
     if mode == "observables" and not prob.observables:
         return _fail("observable mode needs an 'observables' list in the input")
+    exec_paths = _executed_paths(args.out, mode, len(prob.observables))
+    # check every output before writing any, so a bad path leaves no
+    # half-written set of artifacts behind
+    for path in (args.out, args.clifford, *exec_paths, args.report):
+        if not Path(path).parent.is_dir() or Path(path).is_dir():
+            return _fail(f"cannot write {path}: no such directory, or the path is one")
     result = extract(prob.terms)
     opt = peephole(result.opt_circuit)
     native = native_circuit(prob.terms, prob.n)
@@ -141,7 +147,6 @@ def cmd_optimize(args) -> int:
         for r in records:
             executed.append(Circuit(opt.n, opt.gates + r.basis_layer))
 
-    exec_paths = _executed_paths(args.out, mode, len(executed))
     Path(args.out).write_text(emit_qasm(opt), encoding="utf-8")
     Path(args.clifford).write_text(emit_qasm(result.extracted), encoding="utf-8")
     for path, circ in zip(exec_paths, executed):
@@ -267,14 +272,36 @@ def _artifact(path: str, what: str, n: int) -> Circuit:
     return circ
 
 
+def _basis_layer(rec: dict, k: int, n: int) -> tuple[Gate, ...]:
+    """Observable ``k``'s recorded measurement basis layer, after checking
+    that it is a list of [kind, qubit] pairs with kind h or sdg."""
+    layer = _require(rec, ("basis_layer",), f"report observables[{k}]")["basis_layer"]
+    if not isinstance(layer, list) or not all(
+        isinstance(g, list) and len(g) == 2 and g[0] in ("h", "sdg")
+        and type(g[1]) is int and 0 <= g[1] < n
+        for g in layer
+    ):
+        raise SchemaError(
+            f"report observables[{k}] basis_layer is not a list of [h|sdg, qubit in [0, {n})]"
+        )
+    return tuple(Gate(kind, (q,)) for kind, q in layer)
+
+
 def cmd_verify(args) -> int:
     prob = load_terms(args.input)
     _check_cap(prob.n)
     report = _load_report(args.report)
     _require(report, ("input_digest", "mode", "metrics", "artifacts"), "report")
+    if report["mode"] not in ("observables", "probabilities"):
+        raise SchemaError('report mode is not "observables" or "probabilities"')
+    if not isinstance(report["input_digest"], str):
+        raise SchemaError("report input_digest is not a string")
     m = _require(
         report["metrics"], ("cnot_after", "entangling_depth_after", "cnot_before"), "report metrics"
     )
+    for key in ("cnot_after", "entangling_depth_after", "cnot_before"):
+        if type(m[key]) is not int:
+            raise SchemaError(f"report metrics {key} is not an integer")
     art = _require(report["artifacts"], ("optimized", "clifford", "executed"), "report artifacts")
     for key in ("optimized", "clifford"):
         if not isinstance(art[key], str):
@@ -283,6 +310,12 @@ def cmd_verify(args) -> int:
         raise SchemaError('report artifacts "executed" is not a list of path strings')
     if report["mode"] == "observables":
         records = _observable_records(report)
+        layers = [_basis_layer(rec, k, prob.n) for k, rec in enumerate(report["observables"])]
+        if len(art["executed"]) != len(records):
+            raise SchemaError(
+                f'report artifacts "executed" lists {len(art["executed"])} files '
+                f"for {len(records)} observables"
+            )
     else:
         pa = _absorption(report)
         if pa.n != prob.n:
@@ -291,6 +324,7 @@ def cmd_verify(args) -> int:
             raise SchemaError('report artifacts "executed" is empty')
     opt = _artifact(art["optimized"], "optimized circuit", prob.n)
     cliff = _artifact(art["clifford"], "Clifford circuit", prob.n)
+    executed = [_artifact(path, "executed circuit", prob.n) for path in art["executed"]]
     native = native_circuit(prob.terms, prob.n)
     failures = 0
 
@@ -316,10 +350,13 @@ def cmd_verify(args) -> int:
             rhs = rec.transformed.sign * expectation(opt, unsigned)
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
+        for k, (rec, layer, circ) in enumerate(zip(records, layers, executed)):
+            ok = layer == tuple(basis_change_gates(rec.transformed))
+            ok = ok and circ.gates == opt.gates + layer
+            check(f"executed circuit {k} is opt plus observable {k}'s basis layer", ok)
     else:
-        executed = _artifact(art["executed"][0], "executed circuit", prob.n)
         p_full = probabilities(native)
-        p_exec = probabilities(executed)
+        p_exec = probabilities(executed[0])
         mapped = _network_map(pa.network, prob.n)
         ok = all(abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9 for idx in range(2**prob.n))
         check("output distribution", ok)

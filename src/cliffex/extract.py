@@ -4,14 +4,14 @@ Each rotation exp(i*P*t) is synthesized as a single-qubit basis-change
 layer, a CNOT parity tree and one RZ on the tree root.  Only that left
 half is emitted into the executable circuit; the mirrored right half
 accumulates in a conjugation tableau and re-emerges once, at the very
-end, as the extracted Clifford circuit.  The members of the current
-block are kept as signed rows: each is conjugated through the tableau
-once, when the block starts, and every gate appended to the tableau
-afterwards is applied to the rows still waiting with the same rule
-(``tableau.conj_rows``).  The current string and its sign are read from
-its row, and scoring the candidates for the next position reads the
-rows after it directly.  Strings that guide a tree are rewritten
-through the tableau.
+end, as the extracted Clifford circuit.  Every kept string is one
+signed row in a single list kept in emission order: the rows start as
+the raw strings, and every gate emitted afterwards is applied to the
+rows still waiting with the tableau's own rule (``tableau.conj_rows``).
+The current string and its sign are read from its row, scoring the
+candidates for the next position reads the rest of the block's rows,
+and a tree reads its guiding successors, in this block or later ones,
+from the rows after it.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
@@ -176,15 +176,11 @@ def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
     return out
 
 
-def tree_synthesis(
-    paulis: list[PauliString],
-    p_idx: int,
-    tree_idxs,
-    tableau: ConjugationTableau,
-) -> tuple[list[Gate], int]:
-    """Synthesize the CNOT parity tree for ``paulis[p_idx]`` over the
-    qubits ``tree_idxs``, guided by the tableau-updated successors
-    ``paulis[p_idx+1:]``.  Returns the CNOT gates and the tree root.
+def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Gate], int]:
+    """Synthesize a CNOT parity tree over the qubits ``tree_idxs``, guided
+    by the successor strings ``rows[lo:]`` (packed as x | z << n and
+    already conjugated through every gate before the tree).  Returns the
+    CNOT gates and the tree root.
 
     The gates form a spanning tree of exactly ``len(tree_idxs) - 1``
     CNOTs whose target-directed paths accumulate the parity of every
@@ -193,25 +189,21 @@ def tree_synthesis(
     idxs = sorted(set(tree_idxs))
     if not idxs:
         raise EmptyTree("tree synthesis needs at least one qubit")
-    cache: dict[int, tuple[int, int] | None] = {}
+    full = (1 << n) - 1
 
     def guidance(level: int):
-        j = p_idx + level
-        if not 0 <= j < len(paulis):
-            return None
-        if level not in cache:
-            p = paulis[j]
-            gx, gz, _ = tableau.conj_raw(p.x, p.z, 1)
-            cache[level] = (gx, gz)
-        return cache[level]
+        j = lo + level - 1
+        return (rows[j] & full, rows[j] >> n) if j < len(rows) else None
 
     out: list[tuple[int, int]] = []
     root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
     return [cx(a, b) for a, b in out], root
 
 
-def _score_candidates(rows: list[int], lo: int, smask: int, layer: list[Gate], n: int) -> int:
-    """Index of the candidate row (positions >= ``lo``, conjugated through
+def _score_candidates(
+    rows: list[int], lo: int, hi: int, smask: int, layer: list[Gate], n: int
+) -> int:
+    """Index of the candidate row in ``rows[lo:hi]`` (conjugated through
     the tableau and packed as x | z << n) with the fewest non-identity
     letters after simulating the current string's basis ``layer`` and a
     non-recursive tree over its support ``smask`` keyed on that candidate;
@@ -223,7 +215,7 @@ def _score_candidates(rows: list[int], lo: int, smask: int, layer: list[Gate], n
     mask, off = smask | smask << n, full & ~smask
     memo: dict[int, int] = {}
     best_w, best_j = n + 1, -1
-    for j, v in enumerate(rows[lo:], lo):
+    for j, v in enumerate(rows[lo:hi], lo):
         key = v & mask
         if key:
             w = memo.get(key)
@@ -254,75 +246,60 @@ def extract(terms) -> ExtractionResult:
     if not terms:
         raise ValueError("cannot extract from an empty term list")
     n = terms[0].pauli.n
-    kept: list[PauliTerm] = []
-    kept_idx: list[int] = []
-    skipped = 0
+    # (input index, term) of every non-identity term, in emission order
+    # once the loop below has reached it
+    order: list[tuple[int, PauliTerm]] = []
     for k, t in enumerate(terms):
         if t.pauli.n != n:
             raise MixedQubitCounts(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
         if t.pauli.x | t.pauli.z:
-            kept.append(t)
-            kept_idx.append(k)
+            order.append((k, t))
         else:
             warnings.warn(
                 f"term {k} is the identity; it only adds a global phase and was skipped",
                 stacklevel=2,
             )
-            skipped += 1
 
     tab = ConjugationTableau(n)
     gates: list[Gate] = []
-    emitted_order: list[int] = []
     weights: list[int] = []
     reorders = 0
-    blocks = convert_commute_sets(kept) if kept else []
+    blocks = convert_commute_sets([t for _, t in order]) if order else []
 
-    # the strings in emission order: guidance may run past the block, and
-    # later blocks keep their input order until their own turn
-    seq = [t.pauli for t in kept]
+    # rows[k], signs[k] is order[k]'s string conjugated through every gate
+    # emitted so far, as x | z << n; rows[:i + 1] are no longer updated
+    rows = [t.pauli.x | t.pauli.z << n for _, t in order]
+    signs = [t.pauli.sign for _, t in order]
     full = (1 << n) - 1
-    pos = 0
+    hi = 0
     for block in blocks:
-        work = list(zip(kept_idx[pos : pos + len(block)], block))
-        # rows[k], signs[k] is work[k] conjugated through tab, as x | z << n
-        rows, signs = [], []
-        for t in block:
-            x, z, sign = tab.conj_raw(t.pauli.x, t.pauli.z, t.pauli.sign)
-            rows.append(x | z << n)
-            signs.append(sign)
-        for i in range(len(work)):
-            orig_idx, term = work[i]
-            px, pz, psign = rows[i] & full, rows[i] >> n, signs[i]
+        hi += len(block)
+        for i in range(hi - len(block), hi):
+            px, pz = rows[i] & full, rows[i] >> n
             layer = basis_change_gates(PauliString(n, px, pz))
-            if i + 1 < len(work):
-                j = _score_candidates(rows, i + 1, px | pz, layer, n)
+            if i + 1 < hi:
+                j = _score_candidates(rows, i + 1, hi, px | pz, layer, n)
                 if j != i + 1:
-                    work.insert(i + 1, work.pop(j))
-                    rows.insert(i + 1, rows.pop(j))
-                    signs.insert(i + 1, signs.pop(j))
-                    seq.insert(pos + i + 1, seq.pop(pos + j))
+                    for lst in (order, rows, signs):
+                        lst.insert(i + 1, lst.pop(j))
                     reorders += 1
             supp = _support(px | pz)
-            for g in layer:
+            conj_rows(rows, signs, i + 1, layer, n)
+            tree, root = tree_synthesis(rows, i + 1, n, supp)
+            conj_rows(rows, signs, i + 1, tree, n)
+            for g in layer + tree:
                 gates.append(g)
                 tab.append_gate(g)
-            tree, root = tree_synthesis(seq, pos + i, supp, tab)
-            for g in tree:
-                gates.append(g)
-                tab.append_gate(g)
-            conj_rows(rows, signs, i + 1, layer + tree, n)
-            gates.append(rz(root, -2.0 * term.coeff * psign))
-            emitted_order.append(orig_idx)
+            gates.append(rz(root, -2.0 * order[i][1].coeff * signs[i]))
             weights.append(len(supp))
-        pos += len(block)
 
     stats = {
-        "rotations": len(emitted_order),
+        "rotations": len(order),
         "blocks": len(blocks),
         "block_sizes": tuple(len(b) for b in blocks),
         "reorders": reorders,
-        "skipped_identity_terms": skipped,
-        "emitted_order": tuple(emitted_order),
+        "skipped_identity_terms": len(terms) - len(order),
+        "emitted_order": tuple(k for k, _ in order),
         "weights": tuple(weights),
     }
     return ExtractionResult(Circuit(n, tuple(gates)), tab, tab.extracted_circuit(), stats)

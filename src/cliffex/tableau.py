@@ -46,6 +46,8 @@ def conj_rows(rows: list[int], signs: list[int], lo: int, gates, n: int) -> None
     for g in gates:
         for q in g.qubits:
             mask |= 1 << q
+    if not mask:
+        return
     mask |= mask << n
     full = (1 << n) - 1
     memo: dict[int, tuple[int, int]] = {}  # pattern -> (pattern ^ image, flip)

@@ -18,10 +18,9 @@ from cliffex import (
     native_circuit,
     parse_pauli,
     peephole,
-    tree_synthesis,
 )
 from cliffex.absorb import _network_map
-from cliffex.extract import _chain_tree, basis_change_gates
+from cliffex.extract import _chain_tree, basis_change_gates, tree_synthesis
 from cliffex.oracle import (
     circuit_unitary,
     dense_pauli,
@@ -83,14 +82,13 @@ def test_guided_tree_fixture_strings():
     ok = p2p.letters() == "ZZZIXYX" and p3p.letters() == "YZYXIYX"
     signs = f"signs: {p2p.sign:+d}, {p3p.sign:+d}"
 
-    gx, gz, _ = tab.conj_raw(p2.x, p2.z, 1)
-    gates_nr = [cx(c, t) for c, t in _chain_tree(list(range(7)), gx, gz)]
+    gates_nr = [cx(c, t) for c, t in _chain_tree(list(range(7)), p2p.x, p2p.z)]
     t_nr = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates_nr:
         t_nr.append_gate(g)
     ok = ok and t_nr.conjugate(p2).letters() == "IIIIXYX"
 
-    gates_r, _ = tree_synthesis([p1, p2, p3], 0, range(7), tab)
+    gates_r, _ = tree_synthesis([p.x | p.z << 7 for p in (p2p, p3p)], 0, 7, range(7))
     t_r = ConjugationTableau(7)
     for g in list(tab.gate_log) + gates_r:
         t_r.append_gate(g)

@@ -259,7 +259,10 @@ def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_in
 
 
 def _one_error_line(capsys):
-    err = capsys.readouterr().err
+    return _one_error_line_in(capsys.readouterr().err)
+
+
+def _one_error_line_in(err):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -307,6 +310,31 @@ def test_verify_report_missing_key_exits_2(tmp_path, capsys, triangle_input, pat
     capsys.readouterr()
     assert run("verify", triangle_input, "--report", report) == 2
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("mode",), 5), (("mode",), "probability"), (("input_digest",), 5),
+        (("metrics", "cnot_after"), "12"), (("metrics", "cnot_after"), True),
+        (("metrics", "entangling_depth_after"), 7.0), (("metrics", "cnot_before"), None),
+    ],
+    ids=["mode-number", "mode-unknown", "digest-number", "cnot-string", "cnot-bool",
+         "depth-float", "before-null"],
+)
+def test_verify_report_mistyped_field_exits_2(tmp_path, capsys, triangle_input, path, value):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    section = report
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    write_json(report_path, report)
+    capsys.readouterr()
+    assert run("verify", triangle_input, "--report", report_path) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and path[-1] in err
 
 
 @pytest.mark.parametrize("key", ["h_mask", "network"])
@@ -466,6 +494,81 @@ def test_report_not_a_json_object_exits_2(tmp_path, capsys, triangle_input, payl
         assert _one_error_line(capsys)
 
 
+@pytest.fixture()
+def xyz_input(tmp_path):
+    return write_json(tmp_path / "xyz.json", {
+        "num_qubits": 4,
+        "terms": [{"pauli": "ZZZZ", "coeff": 0.31}, {"pauli": "YYXX", "coeff": -0.7},
+                  {"pauli": "XIZY", "coeff": 0.2}, {"pauli": "IXYZ", "coeff": -0.45}],
+        "observables": ["XXZZ", "ZIIY", "-YXZI"],
+    })
+
+
+def test_verify_reads_executed_observable_circuits(tmp_path, capsys, xyz_input):
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    paths = report["artifacts"]["executed"]
+    assert len(paths) == 3
+    assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 0
+    assert "pass  executed circuit 2 is opt plus observable 2's basis layer" in capsys.readouterr().out
+    # drop the last gate of a file whose basis layer is not empty
+    k = next(k for k, rec in enumerate(report["observables"]) if rec["basis_layer"])
+    valid = Path(paths[k]).read_text()
+    Path(paths[k]).write_text("".join(valid.splitlines(keepends=True)[:-1]))
+    assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 1
+    assert f"FAIL  executed circuit {k} is opt plus" in capsys.readouterr().out
+    Path(paths[k]).write_text("garbage")
+    assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and f"executed circuit {paths[k]}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda r: r["artifacts"]["executed"].pop(), "lists 2 files for 3 observables",
+                     id="one-file-short"),
+        pytest.param(lambda r: r["observables"][1].pop("basis_layer"), 'lacks "basis_layer"',
+                     id="no-layer"),
+        pytest.param(lambda r: r["observables"][1].update(basis_layer="h"),
+                     "observables[1] basis_layer is not a list", id="layer-string"),
+        pytest.param(lambda r: r["observables"][1].update(basis_layer=[["x", 0]]),
+                     "observables[1] basis_layer is not a list", id="layer-kind"),
+        pytest.param(lambda r: r["observables"][1].update(basis_layer=[["h", 4]]),
+                     "observables[1] basis_layer is not a list", id="layer-qubit-outside"),
+        pytest.param(lambda r: r["observables"][1].update(basis_layer=[["h", True]]),
+                     "observables[1] basis_layer is not a list", id="layer-qubit-bool"),
+        pytest.param(lambda r: r["observables"][1].update(basis_layer=[["h"]]),
+                     "observables[1] basis_layer is not a list", id="layer-short-pair"),
+    ],
+)
+def test_verify_malformed_observable_layers_exit_2(tmp_path, capsys, xyz_input, edit, message):
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    edit(report)
+    write_json(report_path, report)
+    capsys.readouterr()
+    assert run("verify", xyz_input, "--report", report_path) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and message in err
+
+
+def test_optimize_bad_output_path_writes_nothing(tmp_path, capsys, triangle_input):
+    report = tmp_path / "report.json"
+    report.write_text("an earlier run's report\n")
+    argv = _opt_args(tmp_path, triangle_input, "--clifford", tmp_path / "nodir" / "c.qasm")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and "nodir" in err
+    assert not (tmp_path / "opt.qasm").exists()
+    assert report.read_text() == "an earlier run's report\n"
+    # an output path that is a directory is refused the same way
+    assert run(*_opt_args(tmp_path, triangle_input, "--out", tmp_path)) == 2
+    assert _one_error_line(capsys)
+    assert report.read_text() == "an earlier run's report\n"
+
+
 def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):
     assert run(*_opt_args(tmp_path, triangle_input)) == 0
     assert run("verify", triangle_input, "--report", tmp_path / "report.json") == 0
@@ -531,6 +634,17 @@ GOLDEN = {
         "executed": ["d9a2b9b5560064aae8758fba1ca20c0a850d72c5ae525260ba623827887ed58c"],
         "metrics": "d3397c3294d6d06f8f697d8013e5786f99f4c454578eeebcec33d58e44e63c22",
     },
+    # seven X/Y/Z strings in blocks of 2, 2, 1, 1, 1: the trees of the first
+    # block are guided by the second block's strings
+    "multiblock": {
+        "opt": "e072db9fd83365d8ac471b5aa12292fb1370bc35984e9b0350f79af4c3ae2dcf",
+        "clifford": "53d7848b86ed9881bf5a0a5198fbcfa6ca5acbefb55c10334e3d850fe5962fdb",
+        "executed": [
+            "c7d6b5d925f2182633a7ed714a9a82b749fa35e1a7ed58ca2f0e165435be742b",
+            "a7bdc5a4f18a1f5b9c77b73b501a4962592c0aa5beb789ba4d76176c2fd4fdf1",
+        ],
+        "metrics": "e337f26c10198750e4fcaa73dcc5134fed82d92de2343861d4bc6210d4b7da9b",
+    },
     "xyz": {
         "opt": "7dc2861b66b773886f7c85b459dfe4f53be64722b288b3e2e00f988a470b91b7",
         "clifford": "8a246ae445d1b581dd4e0feabddfa92c5e46884929a9888e1dde76b7e18dd9dc",
@@ -549,19 +663,22 @@ def _sha(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_outputs(tmp_path, triangle_input, name):
+def test_golden_outputs(tmp_path, triangle_input, xyz_input, name):
     if name == "triangle":
         inp = triangle_input
     elif name == "labs8":
         inp = tmp_path / "labs8.json"
         assert run("gen", "labs", "--n", 8, "--out", inp) == 0
-    else:
-        inp = write_json(tmp_path / "xyz.json", {
-            "num_qubits": 4,
-            "terms": [{"pauli": "ZZZZ", "coeff": 0.31}, {"pauli": "YYXX", "coeff": -0.7},
-                      {"pauli": "XIZY", "coeff": 0.2}, {"pauli": "IXYZ", "coeff": -0.45}],
-            "observables": ["XXZZ", "ZIIY", "-YXZI"],
+    elif name == "multiblock":
+        words = ["XXXZY", "IYZXX", "YIYYI", "YIYYY", "ZYXZZ", "XIYIY", "ZIZYZ"]
+        coeffs = [0.31, -0.7, 0.2, -0.45, 0.6, 0.15, -0.25]
+        inp = write_json(tmp_path / "multiblock.json", {
+            "num_qubits": 5,
+            "terms": [{"pauli": w, "coeff": c} for w, c in zip(words, coeffs)],
+            "observables": ["XZYIZ", "-ZZIXY"],
         })
+    else:
+        inp = xyz_input
     assert run(*_opt_args(tmp_path, inp)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert {
