@@ -34,15 +34,13 @@ from .extract import (
     extract,
     native_circuit,
 )
-from .pauli import PauliString, PauliTerm, multiply, parse_pauli
+from .pauli import PauliString, PauliTerm, parse_pauli
 from .problems import LoadedProblem, ProblemSpec, gen_labs, gen_maxcut, load_terms
-from .tableau import ConjugationTableau
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Circuit",
-    "ConjugationTableau",
     "CountsHistogram",
     "ExtractionResult",
     "Gate",
@@ -66,7 +64,6 @@ __all__ = [
     "h",
     "load_terms",
     "map_expectations",
-    "multiply",
     "native_circuit",
     "parse_pauli",
     "parse_qasm",

@@ -1,14 +1,14 @@
 """Absorbing an end-of-circuit Clifford into measurement post-processing.
 
 Two modes are supported.  For expectation-value workloads every
-observable O is rewritten to O' = conjugate(tableau, O) and measured in
-the adjusted single-qubit basis; only the sign of O' enters the final
-result.  For probability workloads the extracted Clifford (H and CNOT
-gates only) is reduced, in one backward sweep, to one Hadamard layer,
-appended to the executed circuit, plus a CNOT network on the measured
-bits.  That form exists unless some CNOT is followed by an odd number
-of Hadamards on exactly one of its two qubits; such a Clifford, or one
-with S/SDG gates, is refused.  The network is a linear map over
+observable O is rewritten through the extracted Clifford E to
+O' = E† O E and measured in the adjusted single-qubit basis; only the
+sign of O' enters the final result.  For probability workloads E (H and
+CNOT gates only) is reduced, in one backward sweep, to one Hadamard
+layer, appended to the executed circuit, plus a CNOT network on the
+measured bits.  That form exists unless some CNOT is followed by an odd
+number of Hadamards on exactly one of its two qubits; such a Clifford,
+or one with S/SDG gates, is refused.  The network is a linear map over
 GF(2): it is composed once into a bit matrix and then applied to each
 measured bitstring by table lookup, at a cost that does not depend on
 the network's length.
@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, inverse
 from .errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible, SchemaError
 from .extract import basis_change_gates
 from .pauli import PauliString
-from .tableau import ConjugationTableau
+from .tableau import conj_rows
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,25 @@ class CountsHistogram:
 
 
 def absorb_observables(
-    tableau: ConjugationTableau, observables: list[PauliString]
+    extracted: Circuit, observables: list[PauliString]
 ) -> list[TransformedObservable]:
-    """Rewrite each observable through the tableau; the mapping back to
-    the originals is positional."""
-    out = []
+    """Rewrite each observable O through the extracted Clifford E to
+    E† O E; the mapping back to the originals is positional.  E† O E is
+    O conjugated by E's gates inverted, in reverse order.  Raises
+    ValueError when E holds an RZ, which is not a Clifford gate."""
+    n = extracted.n
+    if any(g.kind == "rz" for g in extracted.gates):
+        raise ValueError("rz is not a Clifford gate")
     for o in observables:
-        if o.n != tableau.n:
-            raise LengthMismatch(f"{o.n}-qubit observable vs {tableau.n}-qubit tableau")
-        t = tableau.conjugate(o)
+        if o.n != n:
+            raise LengthMismatch(f"{o.n}-qubit observable vs {n}-qubit Clifford")
+    rows = [o.x | o.z << n for o in observables]
+    signs = [o.sign for o in observables]
+    conj_rows(rows, signs, 0, [inverse(g) for g in reversed(extracted.gates)], n)
+    full = (1 << n) - 1
+    out = []
+    for o, r, sign in zip(observables, rows, signs):
+        t = PauliString(n, r & full, r >> n, sign)
         out.append(TransformedObservable(o, t, tuple(basis_change_gates(t))))
     return out
 

@@ -135,7 +135,7 @@ def cmd_optimize(args) -> int:
         }
         executed.append(Circuit(opt.n, opt.gates + tuple(h(q) for q in sorted(pa.h_mask))))
     else:
-        records = absorb_observables(result.tableau, prob.observables)
+        records = absorb_observables(result.extracted, prob.observables)
         report["observables"] = [
             {
                 "original": r.original.label(),
@@ -174,6 +174,9 @@ def _load_counts(path) -> CountsHistogram:
     data = _require(_read_json(path, "counts"), ("n", "shots", "counts"), "counts file")
     if not isinstance(data["counts"], dict):
         raise SchemaError('counts file "counts" is not an object')
+    for key in ("n", "shots"):
+        if type(data[key]) is not int or data[key] < 0:
+            raise SchemaError(f'counts file "{key}" is not a non-negative integer')
     return CountsHistogram(data["n"], data["counts"], data["shots"])
 
 
@@ -291,7 +294,9 @@ def cmd_verify(args) -> int:
     prob = load_terms(args.input)
     _check_cap(prob.n)
     report = _load_report(args.report)
-    _require(report, ("input_digest", "mode", "metrics", "artifacts"), "report")
+    _require(report, ("input_digest", "num_qubits", "mode", "metrics", "artifacts"), "report")
+    if type(report["num_qubits"]) is not int or report["num_qubits"] != prob.n:
+        raise SchemaError(f"report num_qubits is not the input's qubit count {prob.n}")
     if report["mode"] not in ("observables", "probabilities"):
         raise SchemaError('report mode is not "observables" or "probabilities"')
     if not isinstance(report["input_digest"], str):
@@ -318,10 +323,13 @@ def cmd_verify(args) -> int:
             )
     else:
         pa = _absorption(report)
-        if pa.n != prob.n:
-            raise SchemaError(f"report num_qubits {pa.n} does not match the input's {prob.n}")
         if not art["executed"]:
             raise SchemaError('report artifacts "executed" is empty')
+        if len(art["executed"]) > 1:
+            raise SchemaError(
+                f'report artifacts "executed" lists {len(art["executed"])} files; '
+                "probabilities mode executes one"
+            )
     opt = _artifact(art["optimized"], "optimized circuit", prob.n)
     cliff = _artifact(art["clifford"], "Clifford circuit", prob.n)
     executed = [_artifact(path, "executed circuit", prob.n) for path in art["executed"]]
@@ -431,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"{exc}; verify a smaller instance or a subset of terms")
     except CliffexError as exc:
         return _fail(str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc))
 
 

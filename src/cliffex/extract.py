@@ -2,12 +2,13 @@
 
 Each rotation exp(i*P*t) is synthesized as a single-qubit basis-change
 layer, a CNOT parity tree and one RZ on the tree root.  Only that left
-half is emitted into the executable circuit; the mirrored right half
-accumulates in a conjugation tableau and re-emerges once, at the very
-end, as the extracted Clifford circuit.  Every kept string is one
-signed row in a single list kept in emission order: the rows start as
-the raw strings, and every gate emitted afterwards is applied to the
-rows still waiting with the tableau's own rule (``tableau.conj_rows``).
+half is emitted into the executable circuit.  The mirrored right halves
+are never built: the Clifford gates emitted so far are the Clifford D
+that the rotations still to come are conjugated through, and the
+extracted circuit, D inverted, is read off them once, at the very end.
+Every kept string is one signed row in a single list kept in emission
+order: the rows start as the raw strings, and every gate emitted
+afterwards is applied to the rows still waiting (``tableau.conj_rows``).
 The current string and its sign are read from its row, scoring the
 candidates for the next position reads the rest of the block's rows,
 and a tree reads its guiding successors, in this block or later ones,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import EmptyTree, MixedQubitCounts
 from .pauli import PauliString, PauliTerm, _letter_at, _support
-from .tableau import ConjugationTableau, _conj_gate, conj_rows
+from .tableau import _conj_gate, conj_rows
 
 _ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
@@ -41,7 +42,6 @@ _GROUP_ORDER = ("X", "Y", "Z", "I")
 @dataclass(frozen=True)
 class ExtractionResult:
     opt_circuit: Circuit
-    tableau: ConjugationTableau
     extracted: Circuit
     stats: dict
 
@@ -204,10 +204,10 @@ def _score_candidates(
     rows: list[int], lo: int, hi: int, smask: int, layer: list[Gate], n: int
 ) -> int:
     """Index of the candidate row in ``rows[lo:hi]`` (conjugated through
-    the tableau and packed as x | z << n) with the fewest non-identity
-    letters after simulating the current string's basis ``layer`` and a
-    non-recursive tree over its support ``smask`` keyed on that candidate;
-    ties go to the lowest index.  Both act only on the support S, so the
+    every gate emitted so far and packed as x | z << n) with the fewest
+    non-identity letters after simulating the current string's basis
+    ``layer`` and a non-recursive tree over its support ``smask`` keyed on
+    that candidate; ties go to the lowest index.  Both act only on the support S, so the
     letters off S count as they are and the weight left on S is simulated
     once per distinct pattern."""
     supp = _support(smask)
@@ -260,7 +260,6 @@ def extract(terms) -> ExtractionResult:
                 stacklevel=2,
             )
 
-    tab = ConjugationTableau(n)
     gates: list[Gate] = []
     weights: list[int] = []
     reorders = 0
@@ -287,9 +286,8 @@ def extract(terms) -> ExtractionResult:
             conj_rows(rows, signs, i + 1, layer, n)
             tree, root = tree_synthesis(rows, i + 1, n, supp)
             conj_rows(rows, signs, i + 1, tree, n)
-            for g in layer + tree:
-                gates.append(g)
-                tab.append_gate(g)
+            gates += layer
+            gates += tree
             gates.append(rz(root, -2.0 * order[i][1].coeff * signs[i]))
             weights.append(len(supp))
 
@@ -302,7 +300,8 @@ def extract(terms) -> ExtractionResult:
         "emitted_order": tuple(k for k, _ in order),
         "weights": tuple(weights),
     }
-    return ExtractionResult(Circuit(n, tuple(gates)), tab, tab.extracted_circuit(), stats)
+    extracted = tuple(inverse(g) for g in reversed(gates) if g.kind != "rz")
+    return ExtractionResult(Circuit(n, tuple(gates)), Circuit(n, extracted), stats)
 
 
 def native_circuit(terms, n: int | None = None) -> Circuit:

@@ -34,21 +34,6 @@ def _support(mask: int) -> list[int]:
     return out
 
 
-def _product_phase(ax: int, az: int, bx: int, bz: int) -> int:
-    """Exponent-of-i contribution of multiplying letter masks a*b:
-    cyclic letter pairs (XY, YZ, ZX) contribute +1, anticyclic -1."""
-    x1, y1, z1 = ax & ~az, ax & az, az & ~ax
-    x2, y2, z2 = bx & ~bz, bx & bz, bz & ~bx
-    return (
-        (x1 & y2).bit_count()
-        + (y1 & z2).bit_count()
-        + (z1 & x2).bit_count()
-        - (y1 & x2).bit_count()
-        - (z1 & y2).bit_count()
-        - (x1 & z2).bit_count()
-    )
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Hermitian Pauli word with a +/-1 sign (no +/-i phases)."""
@@ -121,19 +106,3 @@ def parse_pauli(text: str) -> PauliString:
         x |= xb << q
         z |= zb << q
     return PauliString(len(text), x, z, sign)
-
-
-def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
-    """Product ``p*q`` as ``i**k * result`` with an unsigned result.
-
-    The phase exponent k (mod 4) accumulates the per-qubit single-letter
-    phases plus a contribution of 2 for each negative input sign.
-    """
-    if p.n != q.n:
-        raise LengthMismatch(f"cannot multiply {p.n}- and {q.n}-qubit strings")
-    k = _product_phase(p.x, p.z, q.x, q.z)
-    if p.sign < 0:
-        k += 2
-    if q.sign < 0:
-        k += 2
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, 1), k & 3

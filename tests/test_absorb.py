@@ -15,13 +15,21 @@ from cliffex import (
     native_circuit,
     parse_pauli,
     postprocess_counts,
+    rz,
     s,
+    sdg,
 )
 from cliffex.absorb import ProbabilityAbsorption, _network_map
 from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
-from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, expectation, probabilities
+from cliffex.oracle import (
+    circuit_unitary,
+    dense_pauli,
+    equivalent_up_to_phase,
+    expectation,
+    probabilities,
+)
 from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import ConjugationTableau
+from cliffex.tableau import conj_rows
 
 
 def term(text, coeff):
@@ -42,24 +50,50 @@ def _random_terms(rng, n, m):
 
 
 def test_identity_observable_untouched():
-    tab = ConjugationTableau(3)
-    tab.append_gate(cx(0, 1))
-    rec = absorb_observables(tab, [parse_pauli("III")])[0]
+    rec = absorb_observables(Circuit(3, (cx(0, 1),)), [parse_pauli("III")])[0]
     assert rec.transformed.label() == "III"
     assert rec.basis_layer == ()
 
 
 def test_hadamard_all_flips_z_to_x():
-    tab = ConjugationTableau(3)
-    for q in range(3):
-        tab.append_gate(h(q))
-    rec = absorb_observables(tab, [parse_pauli("ZZZ")])[0]
+    rec = absorb_observables(Circuit(3, (h(0), h(1), h(2))), [parse_pauli("ZZZ")])[0]
     assert rec.transformed.label() == "XXX"
 
 
 def test_observable_length_mismatch():
     with pytest.raises(LengthMismatch):
-        absorb_observables(ConjugationTableau(2), [parse_pauli("Z")])
+        absorb_observables(Circuit(2), [parse_pauli("Z")])
+
+
+def test_absorb_observables_rejects_rz():
+    # the conjugation rule has no RZ case; a non-Clifford E must not be
+    # read as some Clifford
+    with pytest.raises(ValueError, match="rz"):
+        absorb_observables(Circuit(2, (cx(0, 1), rz(1, 0.3))), [parse_pauli("XZ")])
+
+
+def test_absorb_observables_is_e_dagger_o_e():
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        gates = []
+        for _ in range(int(rng.integers(0, 15))):
+            kind = rng.choice(["h", "s", "sdg", "cx"])
+            if kind == "cx":
+                c, t = rng.choice(n, size=2, replace=False)
+                gates.append(cx(int(c), int(t)))
+            else:
+                gates.append({"h": h, "s": s, "sdg": sdg}[kind](int(rng.integers(n))))
+        e = Circuit(n, tuple(gates))
+        obs = [
+            parse_pauli(("-" if rng.random() < 0.5 else "") + "".join(rng.choice(list("IXYZ"), size=n)))
+            for _ in range(3)
+        ]
+        u = circuit_unitary(e)
+        for rec, o in zip(absorb_observables(e, obs), obs):
+            assert rec.original == o
+            want = u.conj().T @ dense_pauli(o) @ u
+            assert np.allclose(dense_pauli(rec.transformed), want, atol=1e-12)
 
 
 def test_basis_layer_rotates_transformed_to_z():
@@ -67,21 +101,17 @@ def test_basis_layer_rotates_transformed_to_z():
     for _ in range(30):
         n = int(rng.integers(1, 6))
         word = "".join(rng.choice(list("IXYZ"), size=n))
-        tab = ConjugationTableau(n)
-        rec = absorb_observables(tab, [parse_pauli(word)])[0]
-        layer = ConjugationTableau(n)
-        for g in rec.basis_layer:
-            layer.append_gate(g)
-        z_only = parse_pauli(
-            "".join("Z" if c != "I" else "I" for c in rec.transformed.letters())
-        )
-        assert layer.conjugate(rec.transformed).letters() == z_only.letters()
+        rec = absorb_observables(Circuit(n), [parse_pauli(word)])[0]
+        t = rec.transformed
+        rows, signs = [t.x | t.z << n], [t.sign]
+        conj_rows(rows, signs, 0, rec.basis_layer, n)
+        assert rows[0] == (t.x | t.z) << n  # Z on the support, nothing else
 
 
 def test_two_rotation_pipeline_observable():
     terms = [term("ZZZZ", 0.31), term("YYXX", -0.7)]
     res = extract(terms)
-    rec = absorb_observables(res.tableau, [parse_pauli("XXZZ")])[0]
+    rec = absorb_observables(res.extracted, [parse_pauli("XXZZ")])[0]
     # regression: this pipeline's trees give this particular image
     assert rec.transformed.label() == "-ZIZX"
     lhs = expectation(native_circuit(terms), parse_pauli("XXZZ"))
@@ -100,7 +130,7 @@ def test_observable_equality_random():
             parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
             for _ in range(3)
         ]
-        for rec, o in zip(absorb_observables(res.tableau, obs), obs):
+        for rec, o in zip(absorb_observables(res.extracted, obs), obs):
             lhs = expectation(native, o)
             rhs = rec.transformed.sign * expectation(
                 res.opt_circuit, parse_pauli(rec.transformed.letters())
@@ -115,7 +145,7 @@ def test_transformed_commutation_preserved():
         res = extract(_random_terms(rng, n, 5))
         a = parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
         b = parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
-        ra, rb = absorb_observables(res.tableau, [a, b])
+        ra, rb = absorb_observables(res.extracted, [a, b])
         assert a.commutes(b) == ra.transformed.commutes(rb.transformed)
 
 
@@ -343,9 +373,8 @@ def test_probability_distribution_equality_qaoa_form():
 
 
 def test_map_expectations():
-    tab = ConjugationTableau(1)
-    tab.append_gate(s(0))
-    recs = absorb_observables(tab, [parse_pauli("Y"), parse_pauli("Z")])
+    # E = SDG maps Y to S Y S† = -X
+    recs = absorb_observables(Circuit(1, (sdg(0),)), [parse_pauli("Y"), parse_pauli("Z")])
     assert recs[0].transformed.sign == -1
     assert map_expectations(recs, [0.5, 0.0]) == [-0.5, 0.0]
     with pytest.raises(LengthMismatch):

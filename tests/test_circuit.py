@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cliffex import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, rz, s, sdg
 from cliffex.circuit import Gate, inverse
-from cliffex.errors import CliffexError, SchemaError
+from cliffex.errors import CliffexError, InvalidSize, SchemaError
 from cliffex.oracle import circuit_unitary, equivalent_up_to_phase
 
 
@@ -40,6 +40,12 @@ def test_gate_validation():
         Gate("h", (0,), theta=0.1)
     with pytest.raises(ValueError):
         Circuit(2, (h(2),))
+
+
+def test_circuit_rejects_zero_qubits():
+    # so no Clifford, and no absorption through one, acts on zero qubits
+    with pytest.raises(InvalidSize):
+        Circuit(0)
 
 
 def test_cnot_count():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cliffex.cli import main
-from cliffex.circuit import Circuit, cnot_count, emit_qasm, parse_qasm
+from cliffex.circuit import Circuit, cnot_count, emit_qasm, h, parse_qasm
 
 
 def run(*argv):
@@ -298,7 +298,7 @@ def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload)
 @pytest.mark.parametrize(
     "path",
     [
-        ("input_digest",), ("artifacts",), ("metrics",), ("mode",), ("absorption",),
+        ("input_digest",), ("artifacts",), ("metrics",), ("mode",), ("absorption",), ("num_qubits",),
         ("artifacts", "optimized"), ("artifacts", "clifford"), ("artifacts", "executed"),
         ("metrics", "cnot_after"), ("absorption", "h_mask"), ("absorption", "network"),
     ],
@@ -379,19 +379,23 @@ def test_malformed_absorption_exits_2(tmp_path, capsys, triangle_input, key, val
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        [1, 2],
-        {"n": 2, "shots": 5, "counts": [1]},
-        {"n": 2, "shots": 4, "counts": {"10": 5}},
-        {"n": 2, "shots": 5, "counts": {"10": 5.0}},
-        {"n": 2, "shots": -1, "counts": {"10": -1}},
-        {"n": 2, "shots": 5, "counts": {"1": 5}},
+        ([1, 2], "counts file is not an object"),
+        ({"n": 2, "shots": 5, "counts": [1]}, '"counts" is not an object'),
+        ({"n": 2, "shots": 4, "counts": {"10": 5}}, "counts sum to 5, expected 4 shots"),
+        ({"n": 2, "shots": 5, "counts": {"10": 5.0}}, "count for '10' must be a non-negative"),
+        ({"n": 2, "shots": -1, "counts": {"10": -1}}, '"shots" is not a non-negative integer'),
+        ({"n": 2, "shots": 5, "counts": {"1": 5}}, "bitstring '1' is not 2 binary digits"),
+        ({"n": 2, "shots": 3.0, "counts": {"10": 3}}, '"shots" is not a non-negative integer'),
+        ({"n": 2, "shots": True, "counts": {"10": 1}}, '"shots" is not a non-negative integer'),
+        ({"n": True, "shots": 1, "counts": {"1": 1}}, '"n" is not a non-negative integer'),
+        ({"n": -2, "shots": 0, "counts": {}}, '"n" is not a non-negative integer'),
     ],
     ids=["not-an-object", "counts-not-an-object", "shot-sum", "non-integer", "negative",
-         "short-key"],
+         "short-key", "shots-float", "shots-bool", "n-bool", "n-negative"],
 )
-def test_malformed_counts_exits_2(tmp_path, capsys, payload):
+def test_malformed_counts_exits_2(tmp_path, capsys, payload, message):
     report = write_json(
         tmp_path / "report.json",
         {"num_qubits": 2, "mode": "probabilities",
@@ -400,8 +404,37 @@ def test_malformed_counts_exits_2(tmp_path, capsys, payload):
     counts = write_json(tmp_path / "counts.json", payload)
     out = tmp_path / "post.json"
     assert run("postprocess", counts, "--report", report, "--out", out) == 2
-    assert _one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "postprocess", "map-expectations"])
+def test_output_path_is_a_directory_exits_2(tmp_path, capsys, command):
+    # a write error is an input error (exit 2), not a verification failure
+    d = tmp_path / "d"
+    d.mkdir()
+    report = write_json(tmp_path / "report.json", {
+        "num_qubits": 2,
+        "absorption": {"h_mask": [0], "network": [[0, 1]]},
+        "observables": [{"original": "XZ", "transformed": "-ZX", "basis_layer": []}],
+    })
+    counts = write_json(tmp_path / "counts.json", {"n": 2, "shots": 5, "counts": {"10": 5}})
+    values = write_json(tmp_path / "values.json", {"values": [0.5]})
+    argv = {
+        "gen": ("gen", "labs", "--n", 5),
+        "postprocess": ("postprocess", counts, "--report", report),
+        "map-expectations": ("map-expectations", values, "--report", report),
+    }[command]
+    assert run(*argv, "--out", d) == 2
+    assert _one_error_line(capsys)
+
+
+def _written(d, name, *gates):
+    """Path of a fresh 3-qubit QASM file ``name`` in ``d`` holding ``gates``."""
+    path = d / name
+    path.write_text(emit_qasm(Circuit(3, gates)))
+    return str(path)
 
 
 def _edited(name, edit):
@@ -434,6 +467,9 @@ def _edited(name, edit):
         pytest.param("executed", lambda d: [str(d)], "cannot read executed circuit",
                      id="executed-directory"),
         pytest.param("executed", lambda d: [], '"executed" is empty', id="executed-empty"),
+        pytest.param("executed",
+                     lambda d: [str(d / "opt.executed.qasm"), _written(d, "h.qasm", h(0))],
+                     '"executed" lists 2 files', id="executed-two"),
         pytest.param("optimized", _edited("opt.qasm", lambda t: t + "cx q[0],q[7];\n"),
                      "'cx q[0],q[7]': qubit 7 outside the 3-qubit register", id="qubit-outside"),
         pytest.param("clifford", _edited("clifford.qasm", lambda t: t + "cx q[1],q[1];\n"),
@@ -540,6 +576,9 @@ def test_verify_reads_executed_observable_circuits(tmp_path, capsys, xyz_input):
                      "observables[1] basis_layer is not a list", id="layer-qubit-bool"),
         pytest.param(lambda r: r["observables"][1].update(basis_layer=[["h"]]),
                      "observables[1] basis_layer is not a list", id="layer-short-pair"),
+        pytest.param(lambda r: r.update(num_qubits=7), "num_qubits", id="num-qubits-mismatch"),
+        pytest.param(lambda r: r.update(num_qubits="4"), "num_qubits", id="num-qubits-string"),
+        pytest.param(lambda r: r.pop("num_qubits"), 'lacks "num_qubits"', id="no-num-qubits"),
     ],
 )
 def test_verify_malformed_observable_layers_exit_2(tmp_path, capsys, xyz_input, edit, message):

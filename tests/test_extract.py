@@ -1,3 +1,4 @@
+import functools
 import random
 import warnings
 
@@ -7,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cliffex import (
+    Circuit,
+    Gate,
     cnot_count,
     convert_commute_sets,
     cx,
     extract,
-    gen_labs,
     h,
     native_circuit,
     parse_pauli,
@@ -21,9 +23,9 @@ from cliffex import (
 )
 from cliffex.errors import EmptyTree, MixedQubitCounts
 from cliffex.extract import _chain_tree, _score_candidates, basis_change_gates, tree_synthesis
-from cliffex.oracle import circuit_unitary, equivalent_up_to_phase, rotation_unitary
+from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 from cliffex.pauli import PauliString, PauliTerm, _support
-from cliffex.tableau import ConjugationTableau, conj_rows
+from cliffex.tableau import conj_rows
 
 
 def term(text, coeff=0.5):
@@ -46,6 +48,13 @@ def _rotation_product(terms, n):
     for t in terms:
         u = rotation_unitary(t.pauli, t.coeff) @ u
     return u
+
+
+def _conjugate(gates, p):
+    """D p D† for the Clifford D of ``gates`` (time order), through ``conj_rows``."""
+    rows, signs = [p.x | p.z << p.n], [p.sign]
+    conj_rows(rows, signs, 0, gates, p.n)
+    return PauliString(p.n, rows[0] & ((1 << p.n) - 1), rows[0] >> p.n, signs[0])
 
 
 def _roundtrip_ok(terms, result, tol=1e-9):
@@ -101,68 +110,59 @@ def seven_qubit_setup():
     p1 = parse_pauli("YZXXYZZ")
     p2 = parse_pauli("YZXIZYX")
     p3 = parse_pauli("XZYZIYX")
-    tab = ConjugationTableau(7)
-    for g in basis_change_gates(p1):
-        tab.append_gate(g)
-    return p1, p2, p3, tab
+    return p1, p2, p3, basis_change_gates(p1)
 
 
 def test_basis_extraction_strings(seven_qubit_setup):
-    p1, p2, p3, tab = seven_qubit_setup
-    assert tab.conjugate(p1).letters() == "ZZZZZZZ"
-    p2p, p3p = tab.conjugate(p2), tab.conjugate(p3)
+    p1, p2, p3, layer = seven_qubit_setup
+    assert _conjugate(layer, p1).letters() == "ZZZZZZZ"
+    p2p, p3p = _conjugate(layer, p2), _conjugate(layer, p3)
     assert p2p.letters() == "ZZZIXYX" and p2p.sign == 1
     assert p3p.letters() == "YZYXIYX" and p3p.sign == -1
 
 
-def _rows(tab, *paulis):
-    """``paulis`` conjugated through ``tab``, packed as x | z << n: the
+def _rows(gates, *paulis):
+    """``paulis`` conjugated through ``gates``, packed as x | z << n: the
     rows ``tree_synthesis`` reads its guidance from."""
-    images = [tab.conjugate(p) for p in paulis]
+    images = [_conjugate(gates, p) for p in paulis]
     return [p.x | p.z << p.n for p in images]
 
 
-def _chain_gates(idxs, guide, tab):
+def _chain_gates(idxs, guide, gates):
     """The non-recursive tree over ``idxs`` guided by ``guide`` (conjugated
-    through ``tab``), as CNOT gates plus the one qubit that is never a
+    through ``gates``), as CNOT gates plus the one qubit that is never a
     control: the root."""
-    gx, gz, _ = tab.conj_raw(guide.x, guide.z, 1)
-    pairs = _chain_tree(list(idxs), gx, gz)
+    g = _conjugate(gates, guide)
+    pairs = _chain_tree(list(idxs), g.x, g.z)
     (root,) = set(idxs) - {c for c, _ in pairs}
     return [cx(c, t) for c, t in pairs], root
 
 
 def test_nonrecursive_tree(seven_qubit_setup):
-    p1, p2, p3, tab = seven_qubit_setup
-    gates, root = _chain_gates(range(7), p2, tab)
+    p1, p2, p3, layer = seven_qubit_setup
+    gates, root = _chain_gates(range(7), p2, layer)
     assert len(gates) == 6
     assert root == 4
-    after = ConjugationTableau(7)
-    for g in list(tab.gate_log) + gates:
-        after.append_gate(g)
-    assert after.conjugate(p2).letters() == "IIIIXYX"
-    cur = after.conjugate(p1)
+    assert _conjugate(layer + gates, p2).letters() == "IIIIXYX"
+    cur = _conjugate(layer + gates, p1)
     assert cur.letters().count("Z") == 1 and cur.letter(root) == "Z"
 
 
 def test_recursive_tree(seven_qubit_setup):
-    p1, p2, p3, tab = seven_qubit_setup
-    gates, root = tree_synthesis(_rows(tab, p2, p3), 0, 7, range(7))
+    p1, p2, p3, layer = seven_qubit_setup
+    gates, root = tree_synthesis(_rows(layer, p2, p3), 0, 7, range(7))
     assert len(gates) == 6
-    after = ConjugationTableau(7)
-    for g in list(tab.gate_log) + gates:
-        after.append_gate(g)
-    assert after.conjugate(p2).letters() == "IIIIXYX"
-    assert after.conjugate(p3).letters() == "IIXXIYX"
-    cur = after.conjugate(p1)
+    assert _conjugate(layer + gates, p2).letters() == "IIIIXYX"
+    assert _conjugate(layer + gates, p3).letters() == "IIXXIYX"
+    cur = _conjugate(layer + gates, p1)
     assert cur.letters().count("Z") == 1 and cur.letter(root) == "Z"
 
 
 def test_tree_is_spanning(seven_qubit_setup):
-    p1, p2, p3, tab = seven_qubit_setup
+    p1, p2, p3, layer = seven_qubit_setup
     for gates, root in (
-        _chain_gates(range(7), p2, tab),
-        tree_synthesis(_rows(tab, p1, p2, p3), 1, 7, range(7)),
+        _chain_gates(range(7), p2, layer),
+        tree_synthesis(_rows(layer, p1, p2, p3), 1, 7, range(7)),
     ):
         assert len(gates) == 6
         # every qubit appears as a control exactly once except the root,
@@ -182,13 +182,13 @@ def test_tree_is_spanning(seven_qubit_setup):
 
 
 def test_tree_singleton():
-    gates, root = tree_synthesis(_rows(ConjugationTableau(6), parse_pauli("IIIIIZ")), 1, 6, [5])
+    gates, root = tree_synthesis(_rows([], parse_pauli("IIIIIZ")), 1, 6, [5])
     assert gates == [] and root == 5
 
 
 def test_tree_empty_raises():
     with pytest.raises(EmptyTree):
-        tree_synthesis(_rows(ConjugationTableau(1), parse_pauli("Z")), 1, 1, [])
+        tree_synthesis(_rows([], parse_pauli("Z")), 1, 1, [])
 
 
 # ------------------------------------------------------- candidate choice
@@ -241,39 +241,69 @@ def _scoring_case(draw):
 def _reference_choice(n, prefix, strings, px, pz):
     """The scorer as first written: re-conjugate every candidate through
     the prefix, the current string's basis layer and the chain tree keyed
-    on that candidate, with a phase-tracked tableau; keep the first of the
+    on that candidate, one string at a time; keep the first of the
     lightest."""
     basis = basis_change_gates(PauliString(n, px, pz))
     supp = _support(px | pz)
     best_w = best_j = None
     for j, (x, z) in enumerate(strings):
-        tab = ConjugationTableau(n)
-        for g in prefix + basis:
-            tab.append_gate(g)
-        gx, gz, _ = tab.conj_raw(x, z, 1)
-        for c, t in _chain_tree(supp, gx, gz):
-            tab.append_gate(cx(c, t))
-        w = tab.conjugate(PauliString(n, x, z)).weight()
+        g = _conjugate(prefix + basis, PauliString(n, x, z))
+        tree = [cx(c, t) for c, t in _chain_tree(supp, g.x, g.z)]
+        w = _conjugate(tree, g).weight()
         if best_w is None or w < best_w:
             best_w, best_j = w, j
     return best_j
 
 
+@functools.cache
+def _dense_images(kind):
+    """Every Pauli pattern on a gate's k qubits (x | z << k, the gate's
+    own qubit order) mapped to its image under g P g† and the sign,
+    read off the gate's dense k-qubit matrix: no conjugation rule of
+    cliffex is involved."""
+    k = 2 if kind == "cx" else 1
+    u = circuit_unitary(Circuit(k, (Gate(kind, tuple(range(k))),)))
+    dense = {v: dense_pauli(PauliString(k, v & ((1 << k) - 1), v >> k)) for v in range(4**k)}
+    images = {}
+    for v, m in dense.items():
+        img = u @ m @ u.conj().T
+        for w, mw in dense.items():
+            for sign in (1, -1):
+                if np.allclose(img, sign * mw, atol=1e-12):
+                    images[v] = (w, sign)
+    assert len(images) == 4**k
+    return images
+
+
+def _conj_raw(x, z, sign, gates):
+    """Conjugate the raw masks (x, z) and ``sign`` by ``gates`` in time
+    order, letter by letter on each gate's qubits."""
+    for g in gates:
+        k = len(g.qubits)
+        v = 0
+        for i, q in enumerate(g.qubits):
+            v |= (x >> q & 1) << i | (z >> q & 1) << (i + k)
+        w, flip = _dense_images(g.kind)[v]
+        for i, q in enumerate(g.qubits):
+            x = x & ~(1 << q) | (w >> i & 1) << q
+            z = z & ~(1 << q) | (w >> (i + k) & 1) << q
+        sign *= flip
+    return x, z, sign
+
+
 @settings(max_examples=200, deadline=None)
 @given(_scoring_case(), st.integers(0, 3), st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8))
-def test_rows_follow_the_tableau_gate_by_gate(case, lo, drawn_signs):
+def test_rows_follow_the_reference_gate_by_gate(case, lo, drawn_signs):
     n, prefix, strings, _, _ = case
     start_signs = drawn_signs[: len(strings)]
-    tab = ConjugationTableau(n)
     rows = [x | z << n for x, z in strings]
     signs = list(start_signs)
     batch, batch_signs = list(rows), list(signs)
-    for g in prefix:
-        tab.append_gate(g)
+    for m, g in enumerate(prefix, 1):
         conj_rows(rows, signs, lo, [g], n)
         for k, ((x, z), sign) in enumerate(zip(strings, start_signs)):
             if k >= lo:
-                gx, gz, gsign = tab.conj_raw(x, z, sign)
+                gx, gz, gsign = _conj_raw(x, z, sign, prefix[:m])
                 assert rows[k] == gx | gz << n
                 assert signs[k] == gsign
             else:
@@ -296,53 +326,27 @@ def test_conj_rows_match_conj_raw_on_wide_registers(n):
     strings += [(1 << (n - 1), 0, 1), (0, 1 << (n - 1), -1), (1 << (n - 1), 1 << (n - 1), 1)]
     rows = [x | z << n for x, z, _ in strings]
     signs = [sign for _, _, sign in strings]
-    tab = ConjugationTableau(n)
     for k in range(0, len(gates), 7):
         chunk = gates[k : k + 7]
-        for g in chunk:
-            tab.append_gate(g)
         conj_rows(rows, signs, 0, chunk, n)
-        for (x, z, sign), row, got in zip(strings, rows, signs):
-            gx, gz, gsign = tab.conj_raw(x, z, sign)
-            assert (row, got) == (gx | gz << n, gsign)
+        for m, (x, z, sign) in enumerate(strings):
+            x, z, sign = _conj_raw(x, z, sign, chunk)
+            strings[m] = x, z, sign
+            assert (rows[m], signs[m]) == (x | z << n, sign)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scoring_case(), st.integers(0, 2), st.integers(0, 2))
 def test_score_candidates_matches_reference(case, lo, tail):
     n, prefix, strings, px, pz = case
-    tab = ConjugationTableau(n)
-    for g in prefix:
-        tab.append_gate(g)
     # identity rows below lo or from hi on would win if they were scanned
-    rows = [0] * lo
-    for x, z in strings:
-        gx, gz, _ = tab.conj_raw(x, z, 1)
-        rows.append(gx | gz << n)
+    rows = [0] * lo + [x | z << n for x, z in strings]
     hi = len(rows)
+    conj_rows(rows, [1] * hi, lo, prefix, n)
     rows += [0] * tail
     expected = lo + _reference_choice(n, prefix, strings, px, pz)
     layer = basis_change_gates(PauliString(n, px, pz))
     assert _score_candidates(rows, lo, hi, px | pz, layer, n) == expected
-
-
-def test_extract_conjugations_are_linear_in_block_size(monkeypatch):
-    terms = gen_labs(16, 1)
-    m = len(terms)
-    assert m == 324  # one commuting block of Z strings
-    calls = 0
-    conj_raw = ConjugationTableau.conj_raw
-
-    def counted(self, px, pz, sign):
-        nonlocal calls
-        calls += 1
-        return conj_raw(self, px, pz, sign)
-
-    monkeypatch.setattr(ConjugationTableau, "conj_raw", counted)
-    extract(terms)
-    # waiting strings are rows updated gate by gate, never re-read from
-    # the tableau
-    assert calls == 0
 
 
 # ----------------------------------------------------------- extraction
@@ -429,6 +433,33 @@ def test_extract_schedule_is_block_permutation():
             chunk = order[start : start + len(b)]
             assert sorted(chunk) == list(range(start, start + len(b)))
             start += len(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.sampled_from(["", "-"])),
+            min_size=1,
+            max_size=10,
+        )
+    )
+)
+def test_extracted_inverts_the_emitted_cliffords(drawn):
+    # the extracted circuit is the inverse, in reverse order, of the
+    # Clifford gates of opt_circuit: cx(a,b) is its own inverse and
+    # S and SDG swap
+    assume(any(set(word) != {"I"} for word, _ in drawn))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = extract([term(sign + word) for word, sign in drawn])
+    cliff = [g for g in res.opt_circuit.gates if g.kind != "rz"]
+    flip = {"h": "h", "cx": "cx", "s": "sdg", "sdg": "s"}
+    assert res.extracted.n == res.opt_circuit.n
+    assert res.extracted.gates == tuple(Gate(flip[g.kind], g.qubits) for g in reversed(cliff))
+    n = res.opt_circuit.n
+    u = circuit_unitary(res.extracted) @ circuit_unitary(Circuit(n, tuple(cliff)))
+    assert np.allclose(u, np.eye(2**n), atol=1e-12)
 
 
 def test_extract_deterministic():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cliffex import PauliString, PauliTerm, multiply, parse_pauli
+from cliffex import PauliString, PauliTerm, parse_pauli
 from cliffex.errors import InvalidLetter, LengthMismatch
 from cliffex.oracle import dense_pauli
 
@@ -79,52 +79,6 @@ def test_commutes_matches_dense_random():
         q = parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
         if n <= 8:
             assert p.commutes(q) == _dense_commutator_zero(p, q)
-
-
-def test_multiply_examples():
-    r, k = multiply(parse_pauli("X"), parse_pauli("X"))
-    assert r.label() == "I" and k == 0
-    r, k = multiply(parse_pauli("X"), parse_pauli("Z"))
-    assert r.label() == "Y" and k == 3  # XZ = -iY
-    r, k = multiply(parse_pauli("XX"), parse_pauli("ZZ"))
-    assert r.label() == "YY" and k == 2  # (XZ)(XZ) = -(Y)(Y)
-
-
-def test_multiply_self_inverse():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = int(rng.integers(1, 7))
-        word = "".join(rng.choice(list("IXYZ"), size=n))
-        sign = "-" if rng.random() < 0.5 else ""
-        p = parse_pauli(sign + word)
-        r, k = multiply(p, p)
-        assert r.weight() == 0 and k == 0
-
-
-def test_multiply_matches_dense():
-    rng = np.random.default_rng(9)
-    for _ in range(150):
-        n = int(rng.integers(1, 5))
-        p = parse_pauli(("-" if rng.random() < 0.4 else "") + "".join(rng.choice(list("IXYZ"), size=n)))
-        q = parse_pauli(("-" if rng.random() < 0.4 else "") + "".join(rng.choice(list("IXYZ"), size=n)))
-        r, k = multiply(p, q)
-        assert np.allclose(dense_pauli(p) @ dense_pauli(q), (1j**k) * dense_pauli(r), atol=1e-12)
-
-
-def test_multiply_associative_phases():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        ps = [
-            parse_pauli("".join(rng.choice(list("IXYZ"), size=n)))
-            for _ in range(3)
-        ]
-        ab, k1 = multiply(ps[0], ps[1])
-        left, k2 = multiply(ab, ps[2])
-        bc, k3 = multiply(ps[1], ps[2])
-        right, k4 = multiply(ps[0], bc)
-        assert left == right
-        assert (k1 + k2) % 4 == (k3 + k4) % 4
 
 
 def test_pauli_term_rejects_nonfinite():

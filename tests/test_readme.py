@@ -30,3 +30,11 @@ def test_readme_export_table_is_cliffex_all():
     assert methods
     for name in methods:
         assert callable(getattr(cliffex.PauliString, name, None)), name
+
+
+def test_readme_python_example_runs(capsys):
+    block = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    # the CNOT count, then the signed string to measure instead of XXZZ
+    assert capsys.readouterr().out.splitlines() == ["4", "-ZIZX"]
