@@ -457,9 +457,6 @@ def test_extracted_inverts_the_emitted_cliffords(drawn):
     flip = {"h": "h", "cx": "cx", "s": "sdg", "sdg": "s"}
     assert res.extracted.n == res.opt_circuit.n
     assert res.extracted.gates == tuple(Gate(flip[g.kind], g.qubits) for g in reversed(cliff))
-    n = res.opt_circuit.n
-    u = circuit_unitary(res.extracted) @ circuit_unitary(Circuit(n, tuple(cliff)))
-    assert np.allclose(u, np.eye(2**n), atol=1e-12)
 
 
 def test_extract_deterministic():

@@ -1,8 +1,22 @@
-import numpy as np
+import warnings
 
-from cliffex import Circuit, absorb_probabilities, cx, h, parse_pauli, s, sdg
+import numpy as np
+import pytest
+
+from cliffex import (
+    Circuit,
+    absorb_observables,
+    absorb_probabilities,
+    cx,
+    extract,
+    h,
+    parse_pauli,
+    s,
+    sdg,
+)
+from cliffex.errors import LengthMismatch
 from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
-from cliffex.pauli import PauliString
+from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import conj_rows
 
 
@@ -55,6 +69,16 @@ def test_conjugate_hadamard():
     assert _conjugate([h(0)], parse_pauli("XII")).label() == "ZII"
 
 
+def test_conjugate_length_mismatch():
+    # the observable must match the extracted Clifford's register, also
+    # when E has gates to conjugate through
+    e = Circuit(2, (h(0), cx(0, 1)))
+    with pytest.raises(LengthMismatch):
+        absorb_observables(e, [parse_pauli("X")])
+    with pytest.raises(LengthMismatch):
+        absorb_observables(e, [parse_pauli("XX"), parse_pauli("XYZ")])
+
+
 def test_conjugation_matches_dense():
     rng = np.random.default_rng(17)
     for _ in range(60):
@@ -78,6 +102,35 @@ def test_conjugation_preserves_commutation():
         # against the dense commutator too, independently of commutes()
         dp, dq = dense_pauli(_conjugate(log, p)), dense_pauli(_conjugate(log, q))
         assert p.commutes(q) == np.allclose(dp @ dq, dq @ dp, atol=1e-12)
+
+
+def _extract(words):
+    return extract([PauliTerm(parse_pauli(w), 0.3) for w in words])
+
+
+def test_extracted_circuit_examples():
+    # H then CX emitted on the way to one rotation come back as CX then H
+    assert _extract(["XZ"]).extracted.gates == (cx(1, 0), h(0))
+    # SDG then H diagonalise Y; the inverse swaps SDG for S
+    assert _extract(["Y"]).extracted.gates == (h(0), s(0))
+    # a lone Z rotation needs no Clifford
+    assert _extract(["Z"]).extracted.gates == ()
+    assert _extract(["XX", "ZZ"]).extracted.gates == (h(1), cx(1, 0), h(1), h(0))
+
+
+def test_extracted_circuit_inverts_log():
+    # extracted times the Clifford gates of opt_circuit is the identity
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        words = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(int(rng.integers(1, 8)))]
+        words = [w for w in words if set(w) != {"I"}] or ["Z" * n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = _extract(words)
+        log = [g for g in res.opt_circuit.gates if g.kind != "rz"]
+        u = circuit_unitary(res.extracted) @ circuit_unitary(Circuit(n, tuple(log)))
+        assert np.allclose(u, np.eye(2**n), atol=1e-12)
 
 
 def _measurement_side_form(n, mask, network):
