@@ -33,6 +33,8 @@ from .oracle import _check_cap, circuit_unitary, equivalent_up_to_phase, expecta
 from .pauli import parse_pauli
 from .problems import (
     ProblemSpec,
+    _field,
+    _finite,
     _read_json,
     _read_text,
     gen_labs,
@@ -62,6 +64,12 @@ def _executed_paths(out_path: str, mode: str, count: int) -> list[str]:
     if mode == "probabilities":
         return [f"{stem}.executed.qasm"]
     return [f"{stem}.obs{k}.qasm" for k in range(count)]
+
+
+def _executed(opt: Circuit, layers) -> list[Circuit]:
+    """The circuits that are run: ``opt`` followed by each measurement
+    basis layer (probabilities mode has one, H on the mask in qubit order)."""
+    return [Circuit(opt.n, opt.gates + tuple(layer)) for layer in layers]
 
 
 def cmd_gen(args) -> int:
@@ -94,15 +102,19 @@ def _angles(values, layers) -> tuple[float, ...] | None:
 
 def cmd_optimize(args) -> int:
     prob = load_terms(args.input)
-    mode = args.mode or prob.mode
-    if mode == "observables" and not prob.observables:
+    if prob.mode == "observables" and not prob.observables:
         return _fail("observable mode needs an 'observables' list in the input")
-    exec_paths = _executed_paths(args.out, mode, len(prob.observables))
+    exec_paths = _executed_paths(args.out, prob.mode, len(prob.observables))
     # check every output before writing any, so a bad path leaves no
     # half-written set of artifacts behind
+    seen = {Path(args.input).resolve(): f"the input {args.input}"}
     for path in (args.out, args.clifford, *exec_paths, args.report):
         if not Path(path).parent.is_dir() or Path(path).is_dir():
             return _fail(f"cannot write {path}: no such directory, or the path is one")
+        target = Path(path).resolve()
+        if target in seen:
+            return _fail(f"cannot write {path}: it is the same file as {seen[target]}")
+        seen[target] = path
     result = extract(prob.terms)
     opt = peephole(result.opt_circuit)
     native = native_circuit(prob.terms, prob.n)
@@ -110,7 +122,7 @@ def cmd_optimize(args) -> int:
     report: dict = {
         "input_digest": _digest(args.input),
         "num_qubits": prob.n,
-        "mode": mode,
+        "mode": prob.mode,
         "metrics": {
             "cnot_before": cnot_count(native),
             "cnot_after": cnot_count(opt),
@@ -118,22 +130,22 @@ def cmd_optimize(args) -> int:
             "entangling_depth_after": entangling_depth(opt),
             "rotation_count": result.stats["rotations"],
         },
+        "artifacts": {"optimized": args.out, "clifford": args.clifford, "executed": exec_paths},
     }
 
-    executed: list[Circuit] = []
-    if mode == "probabilities":
+    if prob.mode == "probabilities":
         try:
             pa = absorb_probabilities(result.extracted)
         except (NotReducible, NonHCnotGate) as exc:
             return _fail(
                 f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
-                "rerun with --mode observables"
+                'give the input "mode": "observables" and an "observables" list'
             )
         report["absorption"] = {
             "h_mask": sorted(pa.h_mask),
             "network": [list(e) for e in pa.network],
         }
-        executed.append(Circuit(opt.n, opt.gates + tuple(h(q) for q in sorted(pa.h_mask))))
+        layers = [tuple(map(h, sorted(pa.h_mask)))]
     else:
         records = absorb_observables(result.extracted, prob.observables)
         report["observables"] = [
@@ -144,118 +156,98 @@ def cmd_optimize(args) -> int:
             }
             for r in records
         ]
-        for r in records:
-            executed.append(Circuit(opt.n, opt.gates + r.basis_layer))
+        layers = [r.basis_layer for r in records]
 
     Path(args.out).write_text(emit_qasm(opt), encoding="utf-8")
     Path(args.clifford).write_text(emit_qasm(result.extracted), encoding="utf-8")
-    for path, circ in zip(exec_paths, executed):
+    for path, circ in zip(exec_paths, _executed(opt, layers)):
         Path(path).write_text(emit_qasm(circ), encoding="utf-8")
-    report["artifacts"] = {
-        "optimized": args.out,
-        "clifford": args.clifford,
-        "executed": exec_paths,
-    }
     _write_json(args.report, report)
     m = report["metrics"]
     print(
         f"cnot {m['cnot_before']} -> {m['cnot_after']}, "
         f"entangling depth {m['entangling_depth_before']} -> {m['entangling_depth_after']}, "
-        f"mode {mode}"
+        f"mode {prob.mode}"
     )
     return OK
 
 
-def _load_report(path) -> dict:
-    return _require(_read_json(path, "report"), (), "report")
-
-
-def _load_counts(path) -> CountsHistogram:
-    data = _require(_read_json(path, "counts"), ("n", "shots", "counts"), "counts file")
-    if not isinstance(data["counts"], dict):
-        raise SchemaError('counts file "counts" is not an object')
-    for key in ("n", "shots"):
-        if type(data[key]) is not int or data[key] < 0:
-            raise SchemaError(f'counts file "{key}" is not a non-negative integer')
-    return CountsHistogram(data["n"], data["counts"], data["shots"])
-
-
-def _require(section, keys, where: str) -> dict:
-    """``section`` itself, after checking that it is an object holding
-    every one of ``keys``."""
-    if not isinstance(section, dict):
-        raise SchemaError(f"{where} is not an object")
-    for key in keys:
-        if key not in section:
-            raise SchemaError(f'{where} lacks "{key}"')
-    return section
+def _count(v) -> bool:
+    return type(v) is int and v >= 0
 
 
 def _absorption(report) -> ProbabilityAbsorption:
     """The report's probabilities-mode section, after checking that the
     mask and every network edge name qubits of the register (an edge
     with equal ends would make the map collapse bitstrings)."""
-    if "absorption" not in report:
+    if isinstance(report, dict) and "absorption" not in report:
         raise SchemaError("report lacks an 'absorption' section (probabilities mode)")
-    n = _require(report, ("num_qubits",), "report")["num_qubits"]
-    if type(n) is not int or n < 0:
-        raise SchemaError("report num_qubits is not a non-negative integer")
-    sec = _require(report["absorption"], ("h_mask", "network"), "report absorption")
+    n = _field(report, "num_qubits", "report", "num_qubits is not a non-negative integer", _count)
 
     def qubits(values) -> bool:
-        return all(type(q) is int and 0 <= q < n for q in values)
+        return isinstance(values, list) and all(type(q) is int and 0 <= q < n for q in values)
 
-    if not isinstance(sec["h_mask"], list) or not qubits(sec["h_mask"]):
-        raise SchemaError(f"report absorption h_mask is not a list of qubits in [0, {n})")
-    if not isinstance(sec["network"], list):
-        raise SchemaError("report absorption network is not a list")
-    for k, edge in enumerate(sec["network"]):
-        if not (isinstance(edge, list) and len(edge) == 2 and qubits(edge) and edge[0] != edge[1]):
-            raise SchemaError(
-                f"report absorption network[{k}] is not a pair of distinct qubits in [0, {n})"
-            )
-    return ProbabilityAbsorption(
-        n, frozenset(sec["h_mask"]), tuple((c, t) for c, t in sec["network"])
+    mask = _field(report["absorption"], "h_mask", "report absorption",
+                  f"h_mask is not a list of qubits in [0, {n})", qubits)
+    network = _field(
+        report["absorption"], "network", "report absorption",
+        f"network is not a list of pairs of distinct qubits in [0, {n})",
+        lambda v: isinstance(v, list) and all(qubits(e) and len(e) == 2 and e[0] != e[1] for e in v),
     )
+    return ProbabilityAbsorption(n, frozenset(mask), tuple((c, t) for c, t in network))
 
 
 def cmd_postprocess(args) -> int:
-    pa = _absorption(_load_report(args.report))
-    hist = _load_counts(args.counts)
-    out = postprocess_counts(pa, hist)
+    pa = _absorption(_read_json(args.report, "report"))
+    data = _read_json(args.counts, "counts")
+    n, shots = (
+        _field(data, key, "counts file", f'"{key}" is not a non-negative integer', _count)
+        for key in ("n", "shots")
+    )
+    counts = _field(data, "counts", "counts file", '"counts" is not an object',
+                    lambda v: isinstance(v, dict))
+    out = postprocess_counts(pa, CountsHistogram(n, counts, shots))
     _write_json(args.out, {"n": out.n, "shots": out.shots, "counts": out.counts})
-    print(f"rewrote {len(hist.counts)} bitstrings ({out.shots} shots) to {args.out}")
+    print(f"rewrote {len(counts)} bitstrings ({out.shots} shots) to {args.out}")
     return OK
 
 
 def _observable_records(report) -> list[TransformedObservable]:
-    """The report's observable section as records (basis layers are not
-    needed to read it back)."""
-    if "observables" not in report:
-        raise CliffexError("report lacks an 'observables' section (observable mode)")
-    if not isinstance(report["observables"], list):
-        raise SchemaError("report observables is not a list")
+    """The report's observable section as records, after checking that
+    each basis layer is a list of [kind, qubit] pairs with kind h or sdg
+    on the observable's qubits."""
+    if isinstance(report, dict) and "observables" not in report:
+        raise SchemaError("report lacks an 'observables' section (observable mode)")
+    recs = _field(report, "observables", "report", "observables is not a list",
+                  lambda v: isinstance(v, list))
     records = []
-    for k, rec in enumerate(report["observables"]):
-        _require(rec, ("original", "transformed"), f"report observables[{k}]")
-        for key in ("original", "transformed"):
-            if not isinstance(rec[key], str):
-                raise SchemaError(f"report observables[{k}] {key} is not a string")
-        records.append(
-            TransformedObservable(parse_pauli(rec["original"]), parse_pauli(rec["transformed"]), ())
+    for k, rec in enumerate(recs):
+        where = f"report observables[{k}]"
+        original, transformed = (
+            parse_pauli(_field(rec, key, where, f"{key} is not a string", lambda v: isinstance(v, str)))
+            for key in ("original", "transformed")
         )
+        pairs = _field(
+            rec, "basis_layer", where,
+            f"basis_layer is not a list of [h|sdg, qubit in [0, {transformed.n})]",
+            lambda v: isinstance(v, list) and all(
+                isinstance(g, list) and len(g) == 2 and g[0] in ("h", "sdg")
+                and type(g[1]) is int and 0 <= g[1] < transformed.n
+                for g in v
+            ),
+        )
+        layer = tuple(Gate(kind, (q,)) for kind, q in pairs)
+        records.append(TransformedObservable(original, transformed, layer))
     return records
 
 
 def cmd_map_expectations(args) -> int:
-    records = _observable_records(_load_report(args.report))
-    data = _read_json(args.values, "values")
-    values = data.get("values") if isinstance(data, dict) else data
-    if not isinstance(values, list):
-        raise SchemaError(f'values file {args.values} lacks a "values" list')
-    for k, v in enumerate(values):
-        if type(v) not in (int, float):
-            raise SchemaError(f"values file {args.values} value [{k}] is not a number")
+    records = _observable_records(_read_json(args.report, "report"))
+    values = _field(
+        _read_json(args.values, "values"), "values", f"values file {args.values}",
+        '"values" is not a list of finite numbers',
+        lambda v: isinstance(v, list) and all(map(_finite, v)),
+    )
     mapped = map_expectations(records, values)
     _write_json(args.out, {"values": mapped})
     print(f"mapped {len(mapped)} expectation values to {args.out}")
@@ -275,64 +267,44 @@ def _artifact(path: str, what: str, n: int) -> Circuit:
     return circ
 
 
-def _basis_layer(rec: dict, k: int, n: int) -> tuple[Gate, ...]:
-    """Observable ``k``'s recorded measurement basis layer, after checking
-    that it is a list of [kind, qubit] pairs with kind h or sdg."""
-    layer = _require(rec, ("basis_layer",), f"report observables[{k}]")["basis_layer"]
-    if not isinstance(layer, list) or not all(
-        isinstance(g, list) and len(g) == 2 and g[0] in ("h", "sdg")
-        and type(g[1]) is int and 0 <= g[1] < n
-        for g in layer
-    ):
-        raise SchemaError(
-            f"report observables[{k}] basis_layer is not a list of [h|sdg, qubit in [0, {n})]"
-        )
-    return tuple(Gate(kind, (q,)) for kind, q in layer)
-
-
 def cmd_verify(args) -> int:
     prob = load_terms(args.input)
     _check_cap(prob.n)
-    report = _load_report(args.report)
-    _require(report, ("input_digest", "num_qubits", "mode", "metrics", "artifacts"), "report")
-    if type(report["num_qubits"]) is not int or report["num_qubits"] != prob.n:
-        raise SchemaError(f"report num_qubits is not the input's qubit count {prob.n}")
-    if report["mode"] not in ("observables", "probabilities"):
-        raise SchemaError('report mode is not "observables" or "probabilities"')
-    if not isinstance(report["input_digest"], str):
-        raise SchemaError("report input_digest is not a string")
-    m = _require(
-        report["metrics"], ("cnot_after", "entangling_depth_after", "cnot_before"), "report metrics"
+    report = _read_json(args.report, "report")
+    _field(report, "num_qubits", "report", f"num_qubits is not the input's qubit count {prob.n}",
+           lambda v: type(v) is int and v == prob.n)
+    mode = _field(report, "mode", "report", 'mode is not "observables" or "probabilities"',
+                  lambda v: v in ("observables", "probabilities"))
+    digest = _field(report, "input_digest", "report", "input_digest is not a string",
+                    lambda v: isinstance(v, str))
+    m = _field(report, "metrics", "report")
+    for key in ("cnot_before", "cnot_after", "entangling_depth_before", "entangling_depth_after",
+                "rotation_count"):
+        _field(m, key, "report metrics", f"{key} is not an integer", lambda v: type(v) is int)
+    art = _field(report, "artifacts", "report")
+    opt_path, cliff_path = (
+        _field(art, key, "report artifacts", f'"{key}" is not a path string',
+               lambda v: isinstance(v, str))
+        for key in ("optimized", "clifford")
     )
-    for key in ("cnot_after", "entangling_depth_after", "cnot_before"):
-        if type(m[key]) is not int:
-            raise SchemaError(f"report metrics {key} is not an integer")
-    art = _require(report["artifacts"], ("optimized", "clifford", "executed"), "report artifacts")
-    for key in ("optimized", "clifford"):
-        if not isinstance(art[key], str):
-            raise SchemaError(f'report artifacts "{key}" is not a path string')
-    if not isinstance(art["executed"], list) or not all(isinstance(p, str) for p in art["executed"]):
-        raise SchemaError('report artifacts "executed" is not a list of path strings')
-    if report["mode"] == "observables":
+    exec_paths = _field(art, "executed", "report artifacts", '"executed" is not a list of path strings',
+                        lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v))
+    if mode == "observables":
         records = _observable_records(report)
-        layers = [_basis_layer(rec, k, prob.n) for k, rec in enumerate(report["observables"])]
-        if len(art["executed"]) != len(records):
-            raise SchemaError(
-                f'report artifacts "executed" lists {len(art["executed"])} files '
-                f"for {len(records)} observables"
-            )
+        layers = [rec.basis_layer for rec in records]
     else:
         pa = _absorption(report)
-        if not art["executed"]:
-            raise SchemaError('report artifacts "executed" is empty')
-        if len(art["executed"]) > 1:
-            raise SchemaError(
-                f'report artifacts "executed" lists {len(art["executed"])} files; '
-                "probabilities mode executes one"
-            )
-    opt = _artifact(art["optimized"], "optimized circuit", prob.n)
-    cliff = _artifact(art["clifford"], "Clifford circuit", prob.n)
-    executed = [_artifact(path, "executed circuit", prob.n) for path in art["executed"]]
+        layers = [tuple(map(h, sorted(pa.h_mask)))]
+    if not exec_paths:
+        raise SchemaError('report artifacts "executed" is empty')
+    if len(exec_paths) != len(layers):
+        raise SchemaError(
+            f'report artifacts "executed" lists {len(exec_paths)} files for {len(layers)} '
+            + ("observables" if mode == "observables" else "Hadamard layer in probabilities mode")
+        )
+    opt = _artifact(opt_path, "optimized circuit", prob.n)
+    cliff = _artifact(cliff_path, "Clifford circuit", prob.n)
+    executed = [_artifact(path, "executed circuit", prob.n) for path in exec_paths]
     native = native_circuit(prob.terms, prob.n)
     failures = 0
 
@@ -342,15 +314,20 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    check("input digest matches report", report["input_digest"] == _digest(args.input))
+    check("input digest matches report", digest == _digest(args.input))
     u_full = circuit_unitary(Circuit(prob.n, opt.gates + cliff.gates))
     check("unitary round-trip", equivalent_up_to_phase(u_full, circuit_unitary(native), 1e-9))
 
     check("cnot_after matches artifact", m["cnot_after"] == cnot_count(opt))
     check("entangling_depth_after matches artifact", m["entangling_depth_after"] == entangling_depth(opt))
     check("cnot_before matches input", m["cnot_before"] == cnot_count(native))
+    check("entangling_depth_before matches input",
+          m["entangling_depth_before"] == entangling_depth(native))
+    check("rotation_count matches input",
+          m["rotation_count"] == sum(1 for t in prob.terms if t.pauli.weight()))
 
-    if report["mode"] == "observables":
+    expected = _executed(opt, layers)
+    if mode == "observables":
         ok = True
         for rec in records:
             unsigned = parse_pauli(rec.transformed.letters())
@@ -358,11 +335,11 @@ def cmd_verify(args) -> int:
             rhs = rec.transformed.sign * expectation(opt, unsigned)
             ok = ok and abs(lhs - rhs) <= 1e-9
         check("observable expectations", ok)
-        for k, (rec, layer, circ) in enumerate(zip(records, layers, executed)):
-            ok = layer == tuple(basis_change_gates(rec.transformed))
-            ok = ok and circ.gates == opt.gates + layer
+        for k, (rec, circ) in enumerate(zip(records, executed)):
+            ok = rec.basis_layer == tuple(basis_change_gates(rec.transformed)) and circ == expected[k]
             check(f"executed circuit {k} is opt plus observable {k}'s basis layer", ok)
     else:
+        check("executed circuit is opt plus H on the h_mask", executed[0] == expected[0])
         p_full = probabilities(native)
         p_exec = probabilities(executed[0])
         mapped = _network_map(pa.network, prob.n)
@@ -405,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="extract + absorb and emit artifacts")
     opt.add_argument("input")
-    opt.add_argument("--mode", choices=("observables", "probabilities"))
     opt.add_argument("--out", default="opt.qasm")
     opt.add_argument("--clifford", default="clifford.qasm")
     opt.add_argument("--report", default="report.json")
@@ -431,15 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TooLarge as exc:
         return _fail(f"{exc}; verify a smaller instance or a subset of terms")
-    except CliffexError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (CliffexError, OSError) as exc:
         return _fail(str(exc))
 
 

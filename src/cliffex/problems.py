@@ -168,11 +168,6 @@ class LoadedProblem:
     mode: str  # "observables" | "probabilities"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaError(msg)
-
-
 def _read_text(path, what: str) -> str:
     """The UTF-8 text of the file at ``path``; a missing or unreadable
     file, a directory or bytes that are not UTF-8 raise SchemaError
@@ -192,6 +187,32 @@ def _read_json(path, what: str):
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _field(doc, key, where: str, what: str = "", ok=None):
+    """``doc[key]``, after checking that ``doc`` is a JSON object, that it
+    holds ``key`` and, when ``ok`` is given, that ``ok(doc[key])`` holds.
+    A failed check raises SchemaError: "<where> is not an object",
+    '<where> lacks "<key>"' or "<where> <what>"."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} is not an object")
+    if key not in doc:
+        raise SchemaError(f'{where} lacks "{key}"')
+    if ok is not None and not ok(doc[key]):
+        raise SchemaError(f"{where} {what}")
+    return doc[key]
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _word(text: str, n: int, where: str) -> PauliString:
+    """``text`` parsed as a Pauli word, which must have ``n`` letters."""
+    p = parse_pauli(text)
+    if p.n != n:
+        raise LengthMismatch(f"{where}: Pauli has {p.n} letters, expected {n}")
+    return p
+
+
 def load_terms(path) -> LoadedProblem:
     """Load and validate the standard input JSON.
 
@@ -201,43 +222,25 @@ def load_terms(path) -> LoadedProblem:
     otherwise "probabilities".
     """
     data = _read_json(path, "input")
-    _require(isinstance(data, dict), "top level must be a JSON object")
-    _require("num_qubits" in data, 'missing "num_qubits"')
-    n = data["num_qubits"]
-    _require(type(n) is int and n >= 1, '"num_qubits" must be a positive integer')
-    _require(isinstance(data.get("terms"), list) and data["terms"], '"terms" must be a non-empty list')
+    n = _field(data, "num_qubits", "input", '"num_qubits" must be a positive integer',
+               lambda v: type(v) is int and v >= 1)
+    entries = _field(data, "terms", "input", '"terms" must be a non-empty list',
+                     lambda v: isinstance(v, list) and v)
     terms: list[PauliTerm] = []
-    for k, entry in enumerate(data["terms"]):
-        _require(isinstance(entry, dict), f"terms[{k}] must be an object")
-        _require("pauli" in entry, f'terms[{k}] missing "pauli"')
-        _require("coeff" in entry, f'terms[{k}] missing "coeff"')
-        _require(isinstance(entry["pauli"], str), f'terms[{k}]: "pauli" must be a string')
-        p = parse_pauli(entry["pauli"])
-        if p.n != n:
-            raise LengthMismatch(
-                f"terms[{k}]: Pauli has {p.n} letters, expected {n}"
-            )
-        coeff = entry["coeff"]
-        _require(
-            type(coeff) in (int, float) and math.isfinite(coeff),
-            f"terms[{k}]: coeff must be a finite number",
-        )
-        terms.append(PauliTerm(p, float(coeff)))
+    for k, entry in enumerate(entries):
+        word = _field(entry, "pauli", f"terms[{k}]:", '"pauli" must be a string',
+                      lambda v: isinstance(v, str))
+        coeff = _field(entry, "coeff", f"terms[{k}]:", "coeff must be a finite number", _finite)
+        terms.append(PauliTerm(_word(word, n, f"terms[{k}]"), float(coeff)))
     observables: list[PauliString] = []
     if "observables" in data:
-        _require(isinstance(data["observables"], list), '"observables" must be a list')
-        for k, word in enumerate(data["observables"]):
-            _require(isinstance(word, str), f"observables[{k}] must be a string")
-            o = parse_pauli(word)
-            if o.n != n:
-                raise LengthMismatch(
-                    f"observables[{k}]: Pauli has {o.n} letters, expected {n}"
-                )
-            observables.append(o)
-    mode = data.get("mode")
-    if mode is None:
-        mode = "observables" if observables else "probabilities"
-    _require(mode in ("observables", "probabilities"), f"unknown mode {mode!r}")
+        words = _field(data, "observables", "input", '"observables" must be a list of strings',
+                       lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v))
+        observables = [_word(w, n, f"observables[{k}]") for k, w in enumerate(words)]
+    if data.get("mode") is None:
+        data["mode"] = "observables" if observables else "probabilities"
+    mode = _field(data, "mode", "input", f"has unknown mode {data['mode']!r}",
+                  lambda v: v in ("observables", "probabilities"))
     return LoadedProblem(n, terms, observables, mode)
 
 

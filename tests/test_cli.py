@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex.cli import main
 from cliffex.circuit import Circuit, cnot_count, emit_qasm, h, parse_qasm
@@ -128,7 +133,7 @@ def test_optimize_mode_probabilities_rejects_y_terms(tmp_path, capsys):
         tmp_path / "y.json",
         {"num_qubits": 2, "terms": [{"pauli": "YZ", "coeff": 0.4}]},
     )
-    code = run(*_opt_args(tmp_path, inp, "--mode", "probabilities"))
+    code = run(*_opt_args(tmp_path, inp))
     assert code == 2
     assert "observables" in capsys.readouterr().err
 
@@ -136,9 +141,9 @@ def test_optimize_mode_probabilities_rejects_y_terms(tmp_path, capsys):
 def test_optimize_observables_requires_list(tmp_path):
     inp = write_json(
         tmp_path / "noobs.json",
-        {"num_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 0.4}]},
+        {"num_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 0.4}], "mode": "observables"},
     )
-    assert run(*_opt_args(tmp_path, inp, "--mode", "observables")) == 2
+    assert run(*_opt_args(tmp_path, inp)) == 2
 
 
 def test_verify_pipeline_and_perturbation(tmp_path, triangle_input):
@@ -279,8 +284,11 @@ def _without(report_path, path):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"vals": [0.1]}, {"values": 0.1}, 0.1, {"values": ["a"]}, {"values": [None]}, [True]],
-    ids=["no-values", "not-a-list", "number", "string-value", "null-value", "bool-value"],
+    [{"vals": [0.1]}, {"values": 0.1}, 0.1, {"values": ["a"]}, {"values": [None]}, [True],
+     [0.5], {"values": [float("nan")]}, {"values": [float("inf")]}, {"values": [-float("inf")]},
+     {"values": [True]}],
+    ids=["no-values", "not-a-list", "number", "string-value", "null-value", "bool-value",
+         "bare-list", "nan-value", "inf-value", "minus-inf-value", "bool-in-object"],
 )
 def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload):
     report = write_json(
@@ -301,6 +309,7 @@ def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload)
         ("input_digest",), ("artifacts",), ("metrics",), ("mode",), ("absorption",), ("num_qubits",),
         ("artifacts", "optimized"), ("artifacts", "clifford"), ("artifacts", "executed"),
         ("metrics", "cnot_after"), ("absorption", "h_mask"), ("absorption", "network"),
+        ("metrics", "entangling_depth_before"), ("metrics", "rotation_count"),
     ],
     ids="-".join,
 )
@@ -318,9 +327,12 @@ def test_verify_report_missing_key_exits_2(tmp_path, capsys, triangle_input, pat
         (("mode",), 5), (("mode",), "probability"), (("input_digest",), 5),
         (("metrics", "cnot_after"), "12"), (("metrics", "cnot_after"), True),
         (("metrics", "entangling_depth_after"), 7.0), (("metrics", "cnot_before"), None),
+        (("metrics", "entangling_depth_before"), "many"), (("metrics", "rotation_count"), "many"),
+        (("metrics", "rotation_count"), 2.0),
     ],
     ids=["mode-number", "mode-unknown", "digest-number", "cnot-string", "cnot-bool",
-         "depth-float", "before-null"],
+         "depth-float", "before-null", "depth-before-string", "rotations-string",
+         "rotations-float"],
 )
 def test_verify_report_mistyped_field_exits_2(tmp_path, capsys, triangle_input, path, value):
     assert run(*_opt_args(tmp_path, triangle_input)) == 0
@@ -335,6 +347,27 @@ def test_verify_report_mistyped_field_exits_2(tmp_path, capsys, triangle_input, 
     assert run("verify", triangle_input, "--report", report_path) == 2
     err = capsys.readouterr().err
     assert _one_error_line_in(err) and path[-1] in err
+
+
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (("metrics", "entangling_depth_before"), 999, "entangling_depth_before matches input"),
+        (("metrics", "rotation_count"), 999, "rotation_count matches input"),
+        (("absorption", "h_mask"), [], "executed circuit is opt plus H on the h_mask"),
+    ],
+    ids=["depth-before", "rotations", "empty-mask"],
+)
+def test_verify_report_wrong_value_exits_1(tmp_path, capsys, triangle_input, path, value, name):
+    assert run(*_opt_args(tmp_path, triangle_input)) == 0
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report[path[0]][path[1]] = value
+    write_json(report_path, report)
+    capsys.readouterr()
+    assert run("verify", triangle_input, "--report", report_path) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  {name}" in out and "1 check(s) failed" in out
 
 
 @pytest.mark.parametrize("key", ["h_mask", "network"])
@@ -606,6 +639,19 @@ def test_optimize_bad_output_path_writes_nothing(tmp_path, capsys, triangle_inpu
     assert run(*_opt_args(tmp_path, triangle_input, "--out", tmp_path)) == 2
     assert _one_error_line(capsys)
     assert report.read_text() == "an earlier run's report\n"
+    # so are two outputs, or an output and the input, that are one file
+    (tmp_path / "d").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    for extra in (
+        ("--out", tmp_path / "x.qasm", "--clifford", tmp_path / "x.qasm"),
+        ("--clifford", tmp_path / "opt.executed.qasm"),
+        ("--report", tmp_path / "d" / ".." / "clifford.qasm"),
+        ("--report", triangle_input),
+    ):
+        assert run(*_opt_args(tmp_path, triangle_input, *extra)) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line_in(err) and "is the same file as" in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):
@@ -726,3 +772,94 @@ def test_golden_outputs(tmp_path, triangle_input, xyz_input, name):
         "executed": [_sha(Path(p).read_bytes()) for p in report["artifacts"]["executed"]],
         "metrics": _sha(json.dumps(report["metrics"], sort_keys=True).encode()),
     } == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """For each mode, a valid input, the report ``optimize`` writes for it
+    and a counts (probabilities) or values (observables) file."""
+    d = tmp_path_factory.mktemp("valid")
+    inputs = {
+        "probabilities": {"num_qubits": 3, "terms": [
+            {"pauli": "ZZI", "coeff": 0.3}, {"pauli": "IZZ", "coeff": 0.3},
+            {"pauli": "XII", "coeff": 0.7}, {"pauli": "IXI", "coeff": 0.7}]},
+        "observables": {"num_qubits": 3, "terms": [
+            {"pauli": "ZZZ", "coeff": 0.31}, {"pauli": "YYX", "coeff": -0.7}],
+            "observables": ["XXZ", "-ZIY"]},
+    }
+    files = {}
+    for mode, payload in inputs.items():
+        inp = write_json(d / f"{mode}.json", payload)
+        assert run("optimize", inp, "--out", d / f"{mode}.qasm", "--clifford", d / f"{mode}.c.qasm",
+                   "--report", d / f"{mode}.report.json") == 0
+        files[mode] = {"input": inp, "report": d / f"{mode}.report.json"}
+    files["probabilities"]["counts"] = write_json(
+        d / "counts.json", {"n": 3, "shots": 6, "counts": {"010": 4, "111": 2}})
+    files["observables"]["values"] = write_json(d / "values.json", {"values": [0.5, -0.25]})
+    return files
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(doc, prefix=()):
+    """The key path of every value inside ``doc``, the document itself first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+# the commands that read each file, given the file set of one mode
+_READERS = {
+    "input": lambda f, out: [
+        ("optimize", f["input"], "--out", out / "o.qasm", "--clifford", out / "c.qasm",
+         "--report", out / "r.json"),
+        ("verify", f["input"], "--report", f["report"]),
+    ],
+    "report": lambda f, out: [
+        ("verify", f["input"], "--report", f["report"]),
+        ("postprocess", f["counts"], "--report", f["report"], "--out", out / "p.json")
+        if "counts" in f else
+        ("map-expectations", f["values"], "--report", f["report"], "--out", out / "m.json"),
+    ],
+    "counts": lambda f, out: [
+        ("postprocess", f["counts"], "--report", f["report"], "--out", out / "p.json"),
+    ],
+    "values": lambda f, out: [
+        ("map-expectations", f["values"], "--report", f["report"], "--out", out / "m.json"),
+    ],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_exits_0_1_or_2(valid_files, data):
+    mode = data.draw(st.sampled_from(sorted(valid_files)))
+    kind = data.draw(st.sampled_from(sorted(valid_files[mode])))
+    doc = json.loads(valid_files[mode][kind].read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    if not path:
+        doc = data.draw(_JSON_VALUES)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        files = {**valid_files[mode], kind: write_json(out / f"{kind}.json", doc)}
+        for argv in _READERS[kind](files, out):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(*argv)
+            assert code in (0, 1, 2), argv[0]
+            if code == 2:
+                assert _one_error_line_in(err.getvalue()), (argv[0], err.getvalue())
