@@ -37,6 +37,7 @@ from .problems import (
     _finite,
     _read_json,
     _read_text,
+    _word,
     gen_labs,
     gen_maxcut,
     load_terms,
@@ -180,17 +181,16 @@ def _absorption(report) -> ProbabilityAbsorption:
     """The report's probabilities-mode section, after checking that the
     mask and every network edge name qubits of the register (an edge
     with equal ends would make the map collapse bitstrings)."""
-    if isinstance(report, dict) and "absorption" not in report:
-        raise SchemaError("report lacks an 'absorption' section (probabilities mode)")
     n = _field(report, "num_qubits", "report", "num_qubits is not a non-negative integer", _count)
+    section = _field(report, "absorption", "report")
 
     def qubits(values) -> bool:
         return isinstance(values, list) and all(type(q) is int and 0 <= q < n for q in values)
 
-    mask = _field(report["absorption"], "h_mask", "report absorption",
+    mask = _field(section, "h_mask", "report absorption",
                   f"h_mask is not a list of qubits in [0, {n})", qubits)
     network = _field(
-        report["absorption"], "network", "report absorption",
+        section, "network", "report absorption",
         f"network is not a list of pairs of distinct qubits in [0, {n})",
         lambda v: isinstance(v, list) and all(qubits(e) and len(e) == 2 and e[0] != e[1] for e in v),
     )
@@ -214,9 +214,10 @@ def cmd_postprocess(args) -> int:
 
 def _observable_records(report) -> list[TransformedObservable]:
     """The report's observable section as records, after checking that
-    each basis layer is a list of [kind, qubit] pairs with kind h or sdg
-    on the observable's qubits."""
-    if isinstance(report, dict) and "observables" not in report:
+    each word has the report's ``num_qubits`` letters and each basis layer
+    is a list of [kind, qubit] pairs with kind h or sdg on those qubits."""
+    n = _field(report, "num_qubits", "report", "num_qubits is not a non-negative integer", _count)
+    if "observables" not in report:
         raise SchemaError("report lacks an 'observables' section (observable mode)")
     recs = _field(report, "observables", "report", "observables is not a list",
                   lambda v: isinstance(v, list))
@@ -224,15 +225,16 @@ def _observable_records(report) -> list[TransformedObservable]:
     for k, rec in enumerate(recs):
         where = f"report observables[{k}]"
         original, transformed = (
-            parse_pauli(_field(rec, key, where, f"{key} is not a string", lambda v: isinstance(v, str)))
+            _word(_field(rec, key, where, f"{key} is not a string", lambda v: isinstance(v, str)),
+                  n, f"{where} {key}")
             for key in ("original", "transformed")
         )
         pairs = _field(
             rec, "basis_layer", where,
-            f"basis_layer is not a list of [h|sdg, qubit in [0, {transformed.n})]",
+            f"basis_layer is not a list of [h|sdg, qubit in [0, {n})]",
             lambda v: isinstance(v, list) and all(
                 isinstance(g, list) and len(g) == 2 and g[0] in ("h", "sdg")
-                and type(g[1]) is int and 0 <= g[1] < transformed.n
+                and type(g[1]) is int and 0 <= g[1] < n
                 for g in v
             ),
         )

@@ -237,10 +237,10 @@ def load_terms(path) -> LoadedProblem:
         words = _field(data, "observables", "input", '"observables" must be a list of strings',
                        lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v))
         observables = [_word(w, n, f"observables[{k}]") for k, w in enumerate(words)]
-    if data.get("mode") is None:
-        data["mode"] = "observables" if observables else "probabilities"
-    mode = _field(data, "mode", "input", f"has unknown mode {data['mode']!r}",
-                  lambda v: v in ("observables", "probabilities"))
+    mode = "observables" if observables else "probabilities"
+    if data.get("mode") is not None:
+        mode = _field(data, "mode", "input", f"has unknown mode {data['mode']!r}",
+                      lambda v: v in ("observables", "probabilities"))
     return LoadedProblem(n, terms, observables, mode)
 
 

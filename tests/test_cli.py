@@ -213,7 +213,7 @@ def test_postprocess_requires_absorption_section(tmp_path):
 def test_map_expectations(tmp_path):
     report = write_json(
         tmp_path / "report.json",
-        {"mode": "observables",
+        {"num_qubits": 4, "mode": "observables",
          "observables": [{"original": "XXZZ", "transformed": "-ZIZX", "basis_layer": []}]},
     )
     values = write_json(tmp_path / "values.json", {"values": [0.5]})
@@ -243,6 +243,11 @@ def test_map_expectations(tmp_path):
                      "transformed is not a string", id="transformed-list"),
         pytest.param(lambda r: r.pop("observables"), "lacks an 'observables' section",
                      id="no-observables"),
+        pytest.param(
+            lambda r: r["observables"][0].update(transformed=r["observables"][0]["transformed"] + "Z"),
+            "observables[0] transformed: Pauli has", id="transformed-too-long",
+        ),
+        pytest.param(lambda r: r.pop("num_qubits"), 'lacks "num_qubits"', id="no-num-qubits"),
     ],
 )
 def test_report_observable_missing_key_exits_2(tmp_path, capsys, two_rotation_input, edit, message):
@@ -293,13 +298,14 @@ def _without(report_path, path):
 def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload):
     report = write_json(
         tmp_path / "report.json",
-        {"mode": "observables",
+        {"num_qubits": 4, "mode": "observables",
          "observables": [{"original": "XXZZ", "transformed": "-ZIZX", "basis_layer": []}]},
     )
     values = write_json(tmp_path / "values.json", payload)
     out = tmp_path / "mapped.json"
     assert run("map-expectations", values, "--report", report, "--out", out) == 2
-    assert _one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and "values file" in err
     assert not out.exists()
 
 
@@ -609,6 +615,13 @@ def test_verify_reads_executed_observable_circuits(tmp_path, capsys, xyz_input):
                      "observables[1] basis_layer is not a list", id="layer-qubit-bool"),
         pytest.param(lambda r: r["observables"][1].update(basis_layer=[["h"]]),
                      "observables[1] basis_layer is not a list", id="layer-short-pair"),
+        pytest.param(
+            lambda r: r["observables"][1].update(transformed=r["observables"][1]["transformed"] + "Z",
+                                                 basis_layer=[["h", r["num_qubits"]]]),
+            "observables[1] transformed: Pauli has 5 letters, expected 4", id="transformed-too-long",
+        ),
+        pytest.param(lambda r: r["observables"][0].update(original="ZZZ"),
+                     "observables[0] original: Pauli has 3 letters, expected 4", id="original-too-short"),
         pytest.param(lambda r: r.update(num_qubits=7), "num_qubits", id="num-qubits-mismatch"),
         pytest.param(lambda r: r.update(num_qubits="4"), "num_qubits", id="num-qubits-string"),
         pytest.param(lambda r: r.pop("num_qubits"), 'lacks "num_qubits"', id="no-num-qubits"),
@@ -842,10 +855,12 @@ def test_mutated_file_exits_0_1_or_2(valid_files, data):
     mode = data.draw(st.sampled_from(sorted(valid_files)))
     kind = data.draw(st.sampled_from(sorted(valid_files[mode])))
     doc = json.loads(valid_files[mode][kind].read_text())
-    path = data.draw(st.sampled_from(list(_json_paths(doc))))
-    if not path:
-        doc = data.draw(_JSON_VALUES)
-    else:
+    # up to three edits, since some faults need two fields to disagree
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            doc = data.draw(_JSON_VALUES)
+            continue
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
