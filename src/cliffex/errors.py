@@ -33,14 +33,6 @@ class NonHCnotGate(CliffexError, ValueError):
     """Circuit contains gates other than H and CNOT."""
 
 
-class TooLarge(CliffexError, ValueError):
-    """Dense simulation was requested beyond the qubit cap."""
-
-
-class DimMismatch(CliffexError, ValueError):
-    """Dense operands have different dimensions."""
-
-
 class BitstringLengthMismatch(CliffexError, ValueError):
     """A measured bitstring does not match the qubit count."""
 

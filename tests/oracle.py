@@ -1,11 +1,12 @@
-"""Dense-matrix reference implementation for small qubit counts.
+"""Dense-matrix reference implementation for small qubit counts, which
+the tests cross-check the package against.
 
 Everything here is deliberately independent of the extraction machinery
 so it can falsify it: rotation unitaries come straight from the matrix
 exponential identity exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits
 are evaluated gate by gate on dense states.
 
-Every function that builds a dense state or matrix raises ``TooLarge``
+Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
 
 Basis convention: the index bit of qubit 0 is the most significant, so
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit
-from .errors import DimMismatch, LengthMismatch, TooLarge
-from .pauli import PauliString
+from cliffex.circuit import Circuit
+from cliffex.errors import LengthMismatch
+from cliffex.pauli import PauliString
 
 DEFAULT_CAP = 10
 
@@ -34,7 +35,7 @@ _PAULI_1Q = {
 
 def _check_cap(n: int) -> None:
     if n > DEFAULT_CAP:
-        raise TooLarge(f"{n} qubits exceeds the dense-simulation cap of {DEFAULT_CAP}")
+        raise ValueError(f"{n} qubits exceeds the dense-simulation cap of {DEFAULT_CAP}")
 
 
 def dense_pauli(p: PauliString) -> np.ndarray:
@@ -120,7 +121,7 @@ def equivalent_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
-        raise DimMismatch(f"shape {u.shape} vs {v.shape}")
+        raise ValueError(f"shape {u.shape} vs {v.shape}")
     idx = int(np.argmax(np.abs(v)))
     pivot = v.flat[idx]
     if abs(pivot) == 0.0:

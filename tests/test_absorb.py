@@ -21,15 +21,16 @@ from cliffex import (
 )
 from cliffex.absorb import ProbabilityAbsorption, _network_map
 from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible
-from cliffex.oracle import (
+from cliffex.pauli import PauliString, PauliTerm
+from cliffex.tableau import conj_rows
+
+from oracle import (
     circuit_unitary,
     dense_pauli,
     equivalent_up_to_phase,
     expectation,
     probabilities,
 )
-from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import conj_rows
 
 
 def term(text, coeff):

@@ -21,7 +21,11 @@ from cliffex import (
 )
 from cliffex.absorb import _network_map
 from cliffex.extract import _chain_tree, basis_change_gates, tree_synthesis
-from cliffex.oracle import (
+from cliffex.pauli import PauliString, PauliTerm
+from cliffex.problems import ProblemSpec
+from cliffex.tableau import conj_rows
+
+from oracle import (
     circuit_unitary,
     dense_pauli,
     equivalent_up_to_phase,
@@ -29,9 +33,6 @@ from cliffex.oracle import (
     probabilities,
     rotation_unitary,
 )
-from cliffex.pauli import PauliString, PauliTerm
-from cliffex.problems import ProblemSpec
-from cliffex.tableau import conj_rows
 
 TRIANGLE_WORDS = ("ZZI", "IZZ", "ZIZ", "XII", "IXI", "IIX")
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cliffex import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, rz, s, sdg
 from cliffex.circuit import Gate, inverse
 from cliffex.errors import CliffexError, InvalidSize, SchemaError
-from cliffex.oracle import circuit_unitary, equivalent_up_to_phase
+
+from oracle import circuit_unitary, equivalent_up_to_phase
 
 
 def _random_circuit(rng, n, length):

@@ -1,16 +1,25 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffex import load_terms, native_circuit, parse_pauli
 from cliffex.cli import main
-from cliffex.circuit import Circuit, cnot_count, emit_qasm, h, parse_qasm
+from cliffex.circuit import Circuit, cnot_count, cx, emit_qasm, h, parse_qasm
+from cliffex.tableau import replay
+
+from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
 
 
 def run(*argv):
@@ -146,6 +155,22 @@ def test_optimize_observables_requires_list(tmp_path):
     assert run(*_opt_args(tmp_path, inp)) == 2
 
 
+def test_optimize_identity_term_warns_on_one_line(tmp_path, capsys):
+    inp = write_json(tmp_path / "id.json", {"num_qubits": 3, "terms": [
+        {"pauli": "ZZI", "coeff": 0.3}, {"pauli": "III", "coeff": 0.5}, {"pauli": "XII", "coeff": 0.7}]})
+    assert run(*_opt_args(tmp_path, inp)) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: term 1 is the identity; it only adds a global phase and was skipped\n"
+    assert run("verify", inp, "--report", tmp_path / "report.json") == 0
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import cliffex.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_verify_pipeline_and_perturbation(tmp_path, triangle_input):
     assert run(*_opt_args(tmp_path, triangle_input)) == 0
     assert run("verify", triangle_input, "--report", tmp_path / "report.json") == 0
@@ -167,15 +192,98 @@ def test_verify_observables_mode(tmp_path, two_rotation_input):
     assert run("verify", two_rotation_input, "--report", tmp_path / "report.json") == 0
 
 
-def test_verify_too_large(tmp_path, capsys):
-    inp = write_json(
-        tmp_path / "big.json",
-        {"num_qubits": 12, "terms": [{"pauli": "Z" * 12, "coeff": 0.1}]},
+def _maxcut_pipeline(tmp_path, nodes, degree):
+    """Generate and optimize 3-layer regular MaxCut; returns the input path."""
+    inp = tmp_path / "input.json"
+    assert run("gen", "maxcut", "--nodes", nodes, "--degree", degree, "--layers", 3, "--out", inp) == 0
+    assert run(*_opt_args(tmp_path, inp)) == 0
+    return inp
+
+
+@pytest.mark.parametrize("nodes, degree", [(12, 3), (50, 8)])
+def test_verify_above_ten_qubits(tmp_path, capsys, nodes, degree):
+    inp = _maxcut_pipeline(tmp_path, nodes, degree)
+    assert run("verify", inp, "--report", tmp_path / "report.json") == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _first(lines, prefix):
+    return next(k for k, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _reverse_cx(lines):
+    k = _first(lines, "cx ")
+    c, t = re.findall(r"q\[(\d+)\]", lines[k])
+    lines[k] = f"cx q[{t}],q[{c}];"
+
+
+def _angle(line):
+    return float(line[3 : line.index(")")])
+
+
+def _with_angle(line, theta):
+    return f"rz({theta:.17g}{line[line.index(')'):]}"
+
+
+def _nudge_rz(lines):
+    k = _first(lines, "rz(")
+    lines[k] = _with_angle(lines[k], _angle(lines[k]) + 1e-6)
+
+
+def _swap_anticommuting_rz(lines):
+    """Swap the angles of the first two rz lines of different angle whose
+    rotations anticommute (one line per gate after the 3 header lines)."""
+    circ = parse_qasm("\n".join(lines))
+    _, rotations = replay(circ.gates, circ.n)
+    at = [k + 3 for k, g in enumerate(circ.gates) if g.kind == "rz"]
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(range(len(at)), 2)
+        if not rotations[i][0].commutes(rotations[j][0]) and abs(rotations[i][1] - rotations[j][1]) > 1e-3
     )
-    assert run("verify", inp, "--report", tmp_path / "nope.json") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "dense-simulation cap of 10" in err and "--max-qubits" not in err
+    a, b = lines[at[i]], lines[at[j]]
+    lines[at[i]], lines[at[j]] = _with_angle(a, _angle(b)), _with_angle(b, _angle(a))
+
+
+def _edit_absorption(path, edit):
+    report = json.loads(path.read_text())
+    edit(report["absorption"])
+    write_json(path, report)
+
+
+def _toggle_mask_qubit(a):
+    a["h_mask"] = sorted(set(a["h_mask"]) ^ {0})
+
+
+# file edited, the edit, the check that must fail
+_MUTATIONS = {
+    "cx-reversed": ("opt.qasm", lambda p: _edit_lines(p, _reverse_cx), "unitary round-trip"),
+    "rz-nudged": ("opt.qasm", lambda p: _edit_lines(p, _nudge_rz), "unitary round-trip"),
+    "rz-swapped": ("opt.qasm", lambda p: _edit_lines(p, _swap_anticommuting_rz), "unitary round-trip"),
+    "clifford-gate-dropped": ("clifford.qasm", lambda p: _edit_lines(p, lambda ls: ls.pop(3)),
+                              "unitary round-trip"),
+    "network-edge-reversed": ("report.json",
+                              lambda p: _edit_absorption(p, lambda a: a["network"][0].reverse()),
+                              "output distribution"),
+    "mask-qubit-toggled": ("report.json", lambda p: _edit_absorption(p, _toggle_mask_qubit),
+                           "output distribution"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("nodes, degree", [(8, 3), (50, 8)])
+def test_verify_mutated_artifact_exits_1(tmp_path, capsys, nodes, degree, mutation):
+    inp = _maxcut_pipeline(tmp_path, nodes, degree)
+    name, edit, check = _MUTATIONS[mutation]
+    edit(tmp_path / name)
+    capsys.readouterr()
+    assert run("verify", inp, "--report", tmp_path / "report.json") == 1
+    assert f"FAIL  {check}" in capsys.readouterr().out
 
 
 def test_verify_generated_instances_end_to_end(tmp_path):
@@ -356,15 +464,16 @@ def test_verify_report_mistyped_field_exits_2(tmp_path, capsys, triangle_input, 
 
 
 @pytest.mark.parametrize(
-    "path, value, name",
+    "path, value, names",
     [
-        (("metrics", "entangling_depth_before"), 999, "entangling_depth_before matches input"),
-        (("metrics", "rotation_count"), 999, "rotation_count matches input"),
-        (("absorption", "h_mask"), [], "executed circuit is opt plus H on the h_mask"),
+        (("metrics", "entangling_depth_before"), 999, ["entangling_depth_before matches input"]),
+        (("metrics", "rotation_count"), 999, ["rotation_count matches input"]),
+        (("absorption", "h_mask"), [],
+         ["executed circuit is opt plus H on the h_mask", "output distribution"]),
     ],
     ids=["depth-before", "rotations", "empty-mask"],
 )
-def test_verify_report_wrong_value_exits_1(tmp_path, capsys, triangle_input, path, value, name):
+def test_verify_report_wrong_value_exits_1(tmp_path, capsys, triangle_input, path, value, names):
     assert run(*_opt_args(tmp_path, triangle_input)) == 0
     report_path = tmp_path / "report.json"
     report = json.loads(report_path.read_text())
@@ -373,7 +482,8 @@ def test_verify_report_wrong_value_exits_1(tmp_path, capsys, triangle_input, pat
     capsys.readouterr()
     assert run("verify", triangle_input, "--report", report_path) == 1
     out = capsys.readouterr().out
-    assert f"FAIL  {name}" in out and "1 check(s) failed" in out
+    assert all(f"FAIL  {name}" in out for name in names)
+    assert f"{len(names)} check(s) failed" in out
 
 
 @pytest.mark.parametrize("key", ["h_mask", "network"])
@@ -878,3 +988,128 @@ def test_mutated_file_exits_0_1_or_2(valid_files, data):
             assert code in (0, 1, 2), argv[0]
             if code == 2:
                 assert _one_error_line_in(err.getvalue()), (argv[0], err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def small_pipelines(tmp_path_factory):
+    """For each mode, an input on at most 6 qubits and the report
+    ``optimize`` writes for it."""
+    d = tmp_path_factory.mktemp("small")
+    inputs = {
+        "probabilities": {"num_qubits": 4, "terms": [
+            {"pauli": "ZZII", "coeff": 0.3}, {"pauli": "IZZI", "coeff": 0.3}, {"pauli": "IIZZ", "coeff": 0.3},
+            {"pauli": "ZIIZ", "coeff": 0.3}, {"pauli": "XIII", "coeff": 0.7}, {"pauli": "IXII", "coeff": 0.7},
+            {"pauli": "IIXI", "coeff": 0.7}, {"pauli": "IIIX", "coeff": 0.7}]},
+        "observables": {"num_qubits": 4, "terms": [
+            {"pauli": "ZZZZ", "coeff": 0.31}, {"pauli": "YYXX", "coeff": -0.7},
+            {"pauli": "XIZY", "coeff": 0.2}, {"pauli": "IXYZ", "coeff": -0.45}],
+            "observables": ["XXZZ", "ZIIY", "-YXZI"]},
+    }
+    out = {}
+    for mode, payload in inputs.items():
+        inp = write_json(d / f"{mode}.json", payload)
+        assert run("optimize", inp, "--out", d / f"{mode}.qasm", "--clifford", d / f"{mode}.c.qasm",
+                   "--report", d / f"{mode}.report.json") == 0
+        out[mode] = (inp, json.loads((d / f"{mode}.report.json").read_text()))
+    return out
+
+
+def _dense_equivalent(inp, report, opt_text, cliff_text) -> bool:
+    """The dense oracle's verdict: the optimized circuit then the Clifford
+    is the input's unitary, and the Clifford is absorbed as the report
+    says (observables rewritten to E†OE, or the H layer then the network)."""
+    prob = load_terms(inp)
+    opt, cliff = parse_qasm(opt_text), parse_qasm(cliff_text)
+    n = prob.n
+    if not equivalent_up_to_phase(circuit_unitary(Circuit(n, opt.gates + cliff.gates)),
+                                  circuit_unitary(native_circuit(prob.terms, n)), 1e-6):
+        return False
+    e = circuit_unitary(cliff)
+    if report["mode"] == "probabilities":
+        a = report["absorption"]
+        absorbed = tuple(h(q) for q in a["h_mask"]) + tuple(cx(c, t) for c, t in a["network"])
+        return equivalent_up_to_phase(e, circuit_unitary(Circuit(n, absorbed)), 1e-6)
+    return all(
+        np.allclose(e.conj().T @ dense_pauli(parse_pauli(r["original"])) @ e,
+                    dense_pauli(parse_pauli(r["transformed"])), atol=1e-6)
+        for r in report["observables"]
+    )
+
+
+def _edit_qasm(data, lines, n):
+    """One random edit of the QASM ``lines``: drop, duplicate or swap
+    lines, move one qubit reference, or change one rz angle."""
+    pick = st.integers(0, len(lines) - 1)
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "qubit", "angle"]))
+    k = data.draw(pick)
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap":
+        j = data.draw(pick)
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "qubit":
+        refs = list(re.finditer(r"q\[(\d+)\]", lines[k]))
+        if refs:
+            m = data.draw(st.sampled_from(refs))
+            q = data.draw(st.integers(0, n))
+            lines[k] = f"{lines[k][:m.start()]}q[{q}]{lines[k][m.end():]}"
+    else:
+        rzs = [i for i, line in enumerate(lines) if line.startswith("rz(")]
+        if rzs:
+            i = data.draw(st.sampled_from(rzs))
+            lines[i] = _with_angle(lines[i], data.draw(st.floats(-4.0, 4.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_is_sound_under_qasm_edits(small_pipelines, data):
+    mode = data.draw(st.sampled_from(sorted(small_pipelines)))
+    inp, report = small_pipelines[mode]
+    key = data.draw(st.sampled_from(["optimized", "clifford"]))
+    texts = {k: Path(report["artifacts"][k]).read_text() for k in ("optimized", "clifford")}
+    lines = texts[key].splitlines()
+    _edit_qasm(data, lines, report["num_qubits"])
+    texts[key] = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.qasm"
+        edited.write_text(texts[key])
+        report_path = write_json(Path(tmp) / "report.json", {
+            **report, "artifacts": {**report["artifacts"], key: str(edited)}})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("verify", inp, "--report", report_path)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert _one_error_line_in(err.getvalue())
+    if code == 0:
+        assert _dense_equivalent(inp, report, texts["optimized"], texts["clifford"])
+
+
+@st.composite
+def _problems(draw):
+    """A random input on 1 to 12 qubits, in observables mode (with random
+    observables) or in probabilities mode."""
+    n = draw(st.integers(1, 12))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    term = st.builds(lambda w, c: {"pauli": w, "coeff": c}, word, st.floats(-3.0, 3.0))
+    payload = {"num_qubits": n, "terms": draw(st.lists(term, min_size=1, max_size=12))}
+    if draw(st.booleans()):
+        signed = st.builds(str.__add__, st.sampled_from(["", "-"]), word)
+        payload["observables"] = draw(st.lists(signed, min_size=1, max_size=3))
+    return payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_problems())
+def test_optimize_output_always_verifies(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        inp = write_json(d / "input.json", payload)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(*_opt_args(d, inp))
+            # probabilities mode refuses Cliffords with no H-layer-then-network form
+            assert code == 0 or (code == 2 and "observables" not in payload)
+            if code == 0:
+                assert run("verify", inp, "--report", d / "report.json") == 0

@@ -23,9 +23,10 @@ from cliffex import (
 )
 from cliffex.errors import EmptyTree, MixedQubitCounts
 from cliffex.extract import _chain_tree, _score_candidates, basis_change_gates, tree_synthesis
-from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 from cliffex.pauli import PauliString, PauliTerm, _support
 from cliffex.tableau import conj_rows
+
+from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 
 
 def term(text, coeff=0.5):

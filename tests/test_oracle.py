@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cliffex import Circuit, cx, h, native_circuit, parse_pauli, rz, s, sdg
-from cliffex.errors import DimMismatch, LengthMismatch, TooLarge
-from cliffex.oracle import (
+from cliffex.errors import LengthMismatch
+from cliffex.pauli import PauliTerm
+
+from oracle import (
     circuit_unitary,
     dense_pauli,
     equivalent_up_to_phase,
@@ -12,7 +14,6 @@ from cliffex.oracle import (
     rotation_unitary,
     statevector,
 )
-from cliffex.pauli import PauliTerm
 
 
 def test_rotation_unitary_z():
@@ -78,7 +79,7 @@ def test_equivalence_examples():
     x = dense_pauli(parse_pauli("X"))
     assert not equivalent_up_to_phase(eye, x, 1e-9)
     assert not equivalent_up_to_phase(u, u + 1e-6, 1e-9)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ValueError):
         equivalent_up_to_phase(eye, np.eye(4), 1e-9)
 
 
@@ -155,7 +156,7 @@ def test_circuit_unitary_matches_kron_reference():
 
 
 def test_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError):
         statevector(Circuit(11))
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError):
         rotation_unitary(parse_pauli("Z" * 12), 0.1)

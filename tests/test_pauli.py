@@ -5,7 +5,8 @@ import pytest
 
 from cliffex import PauliString, PauliTerm, parse_pauli
 from cliffex.errors import InvalidLetter, LengthMismatch
-from cliffex.oracle import dense_pauli
+
+from oracle import dense_pauli
 
 
 def test_parse_basic():

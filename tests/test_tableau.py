@@ -2,22 +2,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import (
     Circuit,
+    Gate,
     absorb_observables,
     absorb_probabilities,
     cx,
     extract,
     h,
     parse_pauli,
+    rz,
     s,
     sdg,
 )
 from cliffex.errors import LengthMismatch
-from cliffex.oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
 from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import conj_rows
+from cliffex.tableau import conj_rows, replay
+
+from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 
 
 def _random_clifford_log(rng, n, length):
@@ -102,6 +107,48 @@ def test_conjugation_preserves_commutation():
         # against the dense commutator too, independently of commutes()
         dp, dq = dense_pauli(_conjugate(log, p)), dense_pauli(_conjugate(log, q))
         assert p.commutes(q) == np.allclose(dp @ dq, dq @ dp, atol=1e-12)
+
+
+@st.composite
+def _circuits(draw, max_qubits):
+    """(n, gates): a random H/S/SDG/CX/RZ circuit on n <= max_qubits qubits."""
+    n = draw(st.integers(1, max_qubits))
+    qubit = st.integers(0, n - 1)
+    gate = st.builds(lambda kind, q: Gate(kind, (q,)), st.sampled_from(["h", "s", "sdg"]), qubit)
+    gate |= st.builds(rz, qubit, st.floats(-4.0, 4.0))
+    if n > 1:  # the target is the control shifted by 1..n-1
+        gate |= st.builds(lambda c, d: cx(c, (c + d) % n), qubit, st.integers(1, n - 1))
+    return n, draw(st.lists(gate, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits(70))
+def test_replay_matches_conj_rows(circuit):
+    # 70 qubits and up to 180 rows cross the 64-bit boundary of both the
+    # packed rows and the columns
+    n, gates = circuit
+    clifford = [g for g in gates if g.kind != "rz"]
+    images, rotations = replay(gates, n)
+    starts = [PauliString(n, 1 << q) for q in range(n)] + [PauliString(n, 0, 1 << q) for q in range(n)]
+    assert images == [_conjugate(clifford, p) for p in starts]
+    assert rotations == [
+        (_conjugate([g for g in gates[k + 1 :] if g.kind != "rz"], PauliString(n, 0, 1 << r.qubits[0])),
+         r.theta)
+        for k, r in enumerate(gates) if r.kind == "rz"
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_circuits(4))
+def test_replay_factors_the_dense_unitary(circuit):
+    # the circuit is its Clifford gates followed by exp(-i t/2 P) for
+    # every rotation (P, t) in time order
+    n, gates = circuit
+    _, rotations = replay(gates, n)
+    u = circuit_unitary(Circuit(n, tuple(g for g in gates if g.kind != "rz")))
+    for p, t in rotations:
+        u = rotation_unitary(p, -t / 2) @ u
+    assert equivalent_up_to_phase(circuit_unitary(Circuit(n, tuple(gates))), u, 1e-9)
 
 
 def _extract(words):
