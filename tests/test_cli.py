@@ -114,6 +114,36 @@ def test_gen_per_layer_angles(tmp_path, argv, coeffs):
     assert [t["coeff"] for t in json.loads(out.read_text())["terms"]] == pytest.approx(coeffs)
 
 
+# sha256 of the file ``gen`` writes for each argv; a refactor of the
+# generators that is meant to keep their output must keep these
+GEN_GOLDEN = {
+    ("maxcut", "--nodes", 8, "--degree", 3):
+        "ee7cd582a7607824ad1182b8b9f35c25d37c68eb3d78f84e2e1451f055cd2553",
+    ("maxcut", "--nodes", 12, "--degree", 5, "--seed", 7):
+        "e205ca59f0208942f4305c93165cf8d81baaa4153f02db3810d3df3dafae525d",
+    ("maxcut", "--nodes", 9, "--edges", 14, "--seed", 3, "--layers", 2):
+        "b971484eb6923d38b606780544030b42ff87dd95e346f926b00332059aa5235f",
+    ("maxcut", "--nodes", 6, "--degree", 3, "--seed", 2, "--layers", 2,
+     "--gamma", 0.15, "--gamma", -0.35, "--beta", 0.6, "--beta", 0.05):
+        "9dd9bc67f9da522210b73732ef9d03138728012ef6d31cbb4d331036b46190c7",
+    ("maxcut", "--nodes", 10, "--degree", 4, "--seed", 1, "--layers", 3, "--beta", 0.27):
+        "63e375c3d54dc2ab2a245ffab7b647da39c42231303926a1581f012021944a61",
+    ("labs", "--n", 3, "--layers", 3, "--gamma", 0.1, "--gamma", 0.2, "--gamma", 0.3):
+        "13db1ce4a84f78582e763be88286e7b9296caaab0c424bd32174824d97d6c28f",
+    ("labs", "--n", 10, "--layers", 2):
+        "e02796edc9fa59b3c3bae83ee6253b11f1b942e189e45294edd517c1e6585b20",
+    ("labs", "--n", 24, "--gamma", 0.013):
+        "bb6a8f48379ac513db52c52ac18ba8a9f9c47060e9383fd258f88b08621c0d45",
+}
+
+
+@pytest.mark.parametrize("argv", list(GEN_GOLDEN), ids=lambda a: " ".join(map(str, a)))
+def test_gen_golden_bytes(tmp_path, argv):
+    out = tmp_path / "x.json"
+    assert run("gen", *argv, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_GOLDEN[argv]
+
+
 def test_optimize_observables(tmp_path, two_rotation_input):
     assert run(*_opt_args(tmp_path, two_rotation_input)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
