@@ -35,7 +35,7 @@ from .extract import (
     native_circuit,
 )
 from .pauli import PauliString, PauliTerm, parse_pauli
-from .problems import LoadedProblem, ProblemSpec, gen_labs, gen_maxcut, load_terms
+from .problems import LoadedProblem, gen_labs, gen_maxcut, load_terms
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "PauliString",
     "PauliTerm",
     "ProbabilityAbsorption",
-    "ProblemSpec",
     "TransformedObservable",
     "absorb_observables",
     "absorb_probabilities",

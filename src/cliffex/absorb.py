@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, inverse
-from .errors import BitstringLengthMismatch, LengthMismatch, NonHCnotGate, NotReducible, SchemaError
+from .errors import BitstringLengthMismatch, LengthMismatch, NotReducible, SchemaError
 from .extract import basis_change_gates
 from .pauli import PauliString
 from .tableau import conj_rows
@@ -66,7 +66,7 @@ class CountsHistogram:
                 raise BitstringLengthMismatch(
                     f"bitstring {bits!r} is not {self.n} binary digits"
                 )
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise SchemaError(f"count for {bits!r} must be a non-negative integer")
             total += c
         if total != self.shots:
@@ -108,8 +108,8 @@ def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
     pending joins it with control and target swapped (conjugating a
     CNOT by H on both qubits reverses it).  The set still pending at
     the start is the mask.  Raises NotReducible when a CNOT has exactly
-    one qubit pending, as no such form exists then (switch to
-    observable mode), and NonHCnotGate on other gates.
+    one qubit pending or a gate is not H or CNOT, as no such form exists
+    then (switch to observable mode).
     """
     pending = 0
     network: list[tuple[int, int]] = []
@@ -123,7 +123,7 @@ def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
                 raise NotReducible(f"a later Hadamard straddles cx({c},{t})")
             network.append((t, c) if ci else (c, t))
         else:
-            raise NonHCnotGate(f"gate kind {g.kind!r} is not H or CNOT")
+            raise NotReducible(f"gate kind {g.kind!r} is not H or CNOT")
     h_mask = frozenset(q for q in range(extracted.n) if pending >> q & 1)
     return ProbabilityAbsorption(extracted.n, h_mask, tuple(reversed(network)))
 

@@ -27,10 +27,9 @@ from .absorb import (
     postprocess_counts,
 )
 from .circuit import Circuit, Gate, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole
-from .errors import CliffexError, NonHCnotGate, NotReducible, SchemaError
+from .errors import CliffexError, NotReducible, SchemaError
 from .extract import basis_change_gates, extract, native_circuit
 from .problems import (
-    ProblemSpec,
     _field,
     _finite,
     _read_json,
@@ -74,30 +73,12 @@ def _executed(opt: Circuit, layers) -> list[Circuit]:
 
 def cmd_gen(args) -> int:
     if args.kind == "maxcut":
-        spec = ProblemSpec(
-            args.nodes, degree=args.degree, edges=args.edges, seed=args.seed, layers=args.layers,
-            gammas=_angles(args.gamma, args.layers), betas=_angles(args.beta, args.layers),
-        )
-        terms = gen_maxcut(spec)
-        n = spec.n
+        terms = gen_maxcut(args.n, args.degree, args.edges, args.seed, args.layers, args.gamma, args.beta)
     else:  # labs
-        terms = gen_labs(
-            args.n, args.layers, _angles(args.gamma, args.layers), _angles(args.beta, args.layers)
-        )
-        n = args.n
-    _write_json(args.out, to_input_dict(n, terms))
-    print(f"wrote {len(terms)} terms on {n} qubits to {args.out}")
+        terms = gen_labs(args.n, args.layers, args.gamma, args.beta)
+    _write_json(args.out, to_input_dict(args.n, terms))
+    print(f"wrote {len(terms)} terms on {args.n} qubits to {args.out}")
     return OK
-
-
-def _angles(values, layers) -> tuple[float, ...] | None:
-    if not values:
-        return None
-    if len(values) == 1:
-        return tuple(values) * layers
-    if len(values) != layers:
-        raise CliffexError(f"need 1 or {layers} angles, got {len(values)}")
-    return tuple(values)
 
 
 def cmd_optimize(args) -> int:
@@ -140,7 +121,7 @@ def cmd_optimize(args) -> int:
     if prob.mode == "probabilities":
         try:
             pa = absorb_probabilities(result.extracted)
-        except (NotReducible, NonHCnotGate) as exc:
+        except NotReducible as exc:
             return _fail(
                 f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
                 'give the input "mode": "observables" and an "observables" list'
@@ -330,7 +311,7 @@ def cmd_verify(args) -> int:
         layers = [rec.basis_layer for rec in records]
     else:
         pa = _absorption(report)
-        layers = [tuple(map(h, sorted(pa.h_mask)))]
+        records, layers = [], [tuple(map(h, sorted(pa.h_mask)))]
     if not exec_paths:
         raise SchemaError('report artifacts "executed" is empty')
     if len(exec_paths) != len(layers):
@@ -351,6 +332,9 @@ def cmd_verify(args) -> int:
             failures += 1
 
     check("input digest matches report", digest == _digest(args.input))
+    check("mode matches input", mode == prob.mode)
+    check("observables match input", [r.original for r in records]
+          == (prob.observables if prob.mode == "observables" else []))
     images, rotations = replay(opt.gates + cliff.gates, prob.n)
     check("unitary round-trip",
           images == replay((), prob.n)[0] and _same_rotations(prob.terms, rotations, prob.n))
@@ -399,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a benchmark term list")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     mc = gen_sub.add_parser("maxcut", help="MaxCut layers on a regular or random graph")
-    mc.add_argument("--nodes", type=int, required=True)
+    mc.add_argument("--nodes", dest="n", type=int, required=True)
     mc.add_argument("--degree", type=int, help="regular-graph degree")
     mc.add_argument("--edges", type=int, help="random-graph edge count")
     mc.add_argument("--seed", type=int, default=0)

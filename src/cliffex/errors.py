@@ -29,10 +29,6 @@ class NotReducible(CliffexError):
     """Circuit has no single-Hadamard-layer-plus-CNOT-network form."""
 
 
-class NonHCnotGate(CliffexError, ValueError):
-    """Circuit contains gates other than H and CNOT."""
-
-
 class BitstringLengthMismatch(CliffexError, ValueError):
     """A measured bitstring does not match the qubit count."""
 

@@ -18,50 +18,6 @@ from .errors import InfeasibleDegree, InvalidSize, LengthMismatch, SchemaError
 from .pauli import PauliString, PauliTerm, parse_pauli
 
 
-def default_gammas(layers: int) -> tuple[float, ...]:
-    return tuple(0.2 * (k + 1) for k in range(layers))
-
-
-def default_betas(layers: int) -> tuple[float, ...]:
-    return (0.4,) * layers
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A MaxCut instance: a ``degree``-regular graph or a random graph with
-    ``edges`` edges on ``n`` nodes; exactly one of the two is given."""
-
-    n: int
-    degree: int | None = None
-    edges: int | None = None
-    seed: int = 0
-    layers: int = 1
-    gammas: tuple[float, ...] | None = None
-    betas: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.degree is None) == (self.edges is None):
-            raise InvalidSize("pass exactly one of degree or edges")
-        if self.n < 1:
-            raise InvalidSize(f"node count must be positive, got {self.n}")
-        if self.layers < 1:
-            raise InvalidSize("layer count must be positive")
-        for name, lst in (("gammas", self.gammas), ("betas", self.betas)):
-            if lst is not None and len(lst) != self.layers:
-                raise InvalidSize(f"{name} must have one entry per layer")
-        if self.degree is not None:
-            if self.degree < 1 or self.degree >= self.n:
-                raise InfeasibleDegree(f"degree {self.degree} infeasible on {self.n} nodes")
-            if (self.n * self.degree) % 2:
-                raise InfeasibleDegree(
-                    f"no {self.degree}-regular graph on {self.n} nodes (odd stub count)"
-                )
-        else:
-            limit = self.n * (self.n - 1) // 2
-            if not 0 <= self.edges <= limit:
-                raise InvalidSize(f"edge count must lie in [0, {limit}]")
-
-
 def _regular_graph(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
     """Seeded pairing-model sampler with per-pair rejection of loops and
     multi-edges; dead ends restart the attempt."""
@@ -98,36 +54,51 @@ def _random_graph(n: int, edges: int, seed: int) -> list[tuple[int, int]]:
     return sorted(rng.sample(pairs, edges))
 
 
-def maxcut_edges(spec: ProblemSpec) -> list[tuple[int, int]]:
-    if spec.degree is not None:
-        return _regular_graph(spec.n, spec.degree, spec.seed)
-    return _random_graph(spec.n, spec.edges, spec.seed)
-
-
-def gen_maxcut(spec: ProblemSpec) -> list[PauliTerm]:
-    """Alternating-layer MaxCut terms: per layer, one ZZ term per edge
-    with the layer's gamma, then one single-X term per node with the
-    layer's beta."""
-    edges = maxcut_edges(spec)
-    gammas = spec.gammas or default_gammas(spec.layers)
-    betas = spec.betas or default_betas(spec.layers)
+def _layers(n: int, cost: dict[int, int], layers: int, gammas, betas) -> list[PauliTerm]:
+    """``layers`` alternating layers on ``n`` qubits: in layer k, one Z
+    string per mask of ``cost`` with coefficient gammas[k] times the
+    mask's integer weight, then one X per qubit with betas[k].  Each
+    angle list holds 1 angle (used in every layer) or ``layers``; the
+    defaults are gamma 0.2 (k + 1) and beta 0.4."""
+    if layers < 1:
+        raise InvalidSize("layer count must be positive")
+    gammas = gammas or [0.2 * (k + 1) for k in range(layers)]
+    betas = betas or [0.4]
+    for name, angles in (("gamma", gammas), ("beta", betas)):
+        if len(angles) not in (1, layers):
+            raise InvalidSize(f"need 1 or {layers} {name} angles, got {len(angles)}")
     terms: list[PauliTerm] = []
-    for layer in range(spec.layers):
-        for u, v in edges:
-            terms.append(
-                PauliTerm(PauliString(spec.n, 0, (1 << u) | (1 << v)), gammas[layer])
-            )
-        for q in range(spec.n):
-            terms.append(PauliTerm(PauliString(spec.n, 1 << q, 0), betas[layer]))
+    for k in range(layers):
+        gamma, beta = gammas[k % len(gammas)], betas[k % len(betas)]
+        terms += [PauliTerm(PauliString(n, 0, mask), gamma * w) for mask, w in cost.items()]
+        terms += [PauliTerm(PauliString(n, 1 << q, 0), beta) for q in range(n)]
     return terms
 
 
-def gen_labs(
-    n: int,
-    layers: int = 1,
-    gammas: tuple[float, ...] | None = None,
-    betas: tuple[float, ...] | None = None,
-) -> list[PauliTerm]:
+def gen_maxcut(n: int, degree: int | None = None, edges: int | None = None, seed: int = 0,
+               layers: int = 1, gammas=None, betas=None) -> list[PauliTerm]:
+    """MaxCut layers on a seeded ``degree``-regular graph or random graph
+    with ``edges`` edges on ``n`` nodes (exactly one of the two): one ZZ
+    term per edge, then one X term per node, per layer."""
+    if (degree is None) == (edges is None):
+        raise InvalidSize("pass exactly one of degree or edges")
+    if n < 1:
+        raise InvalidSize(f"node count must be positive, got {n}")
+    if degree is not None:
+        if degree < 1 or degree >= n:
+            raise InfeasibleDegree(f"degree {degree} infeasible on {n} nodes")
+        if (n * degree) % 2:
+            raise InfeasibleDegree(f"no {degree}-regular graph on {n} nodes (odd stub count)")
+        graph = _regular_graph(n, degree, seed)
+    else:
+        limit = n * (n - 1) // 2
+        if not 0 <= edges <= limit:
+            raise InvalidSize(f"edge count must lie in [0, {limit}]")
+        graph = _random_graph(n, edges, seed)
+    return _layers(n, {1 << u | 1 << v: 1 for u, v in graph}, layers, gammas, betas)
+
+
+def gen_labs(n: int, layers: int = 1, gammas=None, betas=None) -> list[PauliTerm]:
     """Low-autocorrelation binary sequence layers.
 
     The cost is the sum over shifts k of the squared correlation
@@ -138,12 +109,6 @@ def gen_labs(
     """
     if n < 3:
         raise InvalidSize("need at least 3 qubits")
-    if layers < 1:
-        raise InvalidSize("layer count must be positive")
-    gammas = gammas or default_gammas(layers)
-    betas = betas or default_betas(layers)
-    if len(gammas) != layers or len(betas) != layers:
-        raise InvalidSize("need one gamma and one beta per layer")
     mult: dict[int, int] = {}
     for k in range(1, n):
         pairs = [((1 << i) | (1 << (i + k))) for i in range(n - k)]
@@ -151,13 +116,7 @@ def gen_labs(
             for b in range(a + 1, len(pairs)):
                 mask = pairs[a] ^ pairs[b]
                 mult[mask] = mult.get(mask, 0) + 2
-    terms: list[PauliTerm] = []
-    for layer in range(layers):
-        for mask, m in mult.items():
-            terms.append(PauliTerm(PauliString(n, 0, mask), gammas[layer] * m))
-        for q in range(n):
-            terms.append(PauliTerm(PauliString(n, 1 << q, 0), betas[layer]))
-    return terms
+    return _layers(n, mult, layers, gammas, betas)
 
 
 @dataclass(frozen=True)

@@ -570,9 +570,10 @@ def test_malformed_absorption_exits_2(tmp_path, capsys, triangle_input, key, val
         ({"n": 2, "shots": True, "counts": {"10": 1}}, '"shots" is not a non-negative integer'),
         ({"n": True, "shots": 1, "counts": {"1": 1}}, '"n" is not a non-negative integer'),
         ({"n": -2, "shots": 0, "counts": {}}, '"n" is not a non-negative integer'),
+        ({"n": 3, "shots": 1, "counts": {"010": True}}, "count for '010' must be a non-negative"),
     ],
     ids=["not-an-object", "counts-not-an-object", "shot-sum", "non-integer", "negative",
-         "short-key", "shots-float", "shots-bool", "n-bool", "n-negative"],
+         "short-key", "shots-float", "shots-bool", "n-bool", "n-negative", "count-bool"],
 )
 def test_malformed_counts_exits_2(tmp_path, capsys, payload, message):
     report = write_json(
@@ -816,6 +817,36 @@ def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):
     assert run("verify", triangle_input, "--report", tmp_path / "report.json") == 1
     out = capsys.readouterr().out
     assert "FAIL  input digest matches report" in out and "1 check(s) failed" in out
+
+
+def test_verify_report_dropping_an_observable_exits_1(tmp_path, capsys, xyz_input):
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    # drop observable 1 together with its executed file: every other
+    # check still holds, but the report no longer answers the input
+    del report["observables"][1]
+    del report["artifacts"]["executed"][1]
+    write_json(tmp_path / "report.json", report)
+    capsys.readouterr()
+    assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  observables match input" in out and "1 check(s) failed" in out
+
+
+def test_verify_report_of_another_mode_exits_1(tmp_path, capsys, xyz_input):
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    # the same terms and observables in probabilities mode, and a report
+    # whose digest was edited to match that input
+    other = write_json(tmp_path / "prob.json",
+                       dict(json.loads(xyz_input.read_text()), mode="probabilities"))
+    report = json.loads((tmp_path / "report.json").read_text())
+    report["input_digest"] = hashlib.sha256(other.read_bytes()).hexdigest()
+    write_json(tmp_path / "report.json", report)
+    capsys.readouterr()
+    assert run("verify", other, "--report", tmp_path / "report.json") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  mode matches input" in out and "FAIL  observables match input" in out
+    assert "2 check(s) failed" in out
 
 
 def test_optimize_is_byte_deterministic(tmp_path, triangle_input):

@@ -3,43 +3,45 @@ import json
 import pytest
 
 from cliffex import absorb_probabilities, cnot_count, extract, gen_labs, gen_maxcut, load_terms, native_circuit
-from cliffex.errors import CliffexError, InfeasibleDegree, LengthMismatch, SchemaError
-from cliffex.problems import ProblemSpec, maxcut_edges, to_input_dict
+from cliffex.errors import CliffexError, InfeasibleDegree, InvalidSize, LengthMismatch, SchemaError
+from cliffex.problems import to_input_dict
 
 
 def test_triangle_terms():
-    spec = ProblemSpec(3, degree=2, seed=0)
-    terms = gen_maxcut(spec)
+    terms = gen_maxcut(3, degree=2, seed=0)
     assert [t.pauli.label() for t in terms] == ["ZZI", "ZIZ", "IZZ", "XII", "IXI", "IIX"]
     assert len(terms) == 6
 
 
 def test_regular_counts():
-    t = gen_maxcut(ProblemSpec(20, degree=8, seed=7))
+    t = gen_maxcut(20, degree=8, seed=7)
     assert len(t) == 100
     assert cnot_count(native_circuit(t)) == 160
-    t = gen_maxcut(ProblemSpec(15, degree=4, seed=7))
+    t = gen_maxcut(15, degree=4, seed=7)
     assert len(t) == 45
     assert cnot_count(native_circuit(t)) == 60
-    t = gen_maxcut(ProblemSpec(20, degree=12, seed=1))
+    t = gen_maxcut(20, degree=12, seed=1)
     assert len(t) == 140
     assert cnot_count(native_circuit(t)) == 240
-    t = gen_maxcut(ProblemSpec(20, degree=4, seed=1))
+    t = gen_maxcut(20, degree=4, seed=1)
     assert len(t) == 60
     assert cnot_count(native_circuit(t)) == 80
 
 
 def test_random_graph_counts():
-    t = gen_maxcut(ProblemSpec(10, edges=12, seed=3))
+    t = gen_maxcut(10, edges=12, seed=3)
     assert len(t) == 22
-    t = gen_maxcut(ProblemSpec(20, edges=117, seed=3))
+    t = gen_maxcut(20, edges=117, seed=3)
     assert len(t) == 137
     assert cnot_count(native_circuit(t)) == 234
 
 
 def test_regular_graph_is_simple_and_regular():
     for seed in range(4):
-        edges = maxcut_edges(ProblemSpec(12, degree=5, seed=seed))
+        edges = [
+            tuple(q for q in range(12) if t.pauli.z >> q & 1)
+            for t in gen_maxcut(12, degree=5, seed=seed) if t.pauli.z
+        ]
         assert len(edges) == len(set(edges)) == 30
         deg = [0] * 12
         for u, v in edges:
@@ -50,26 +52,26 @@ def test_regular_graph_is_simple_and_regular():
 
 
 def test_seeded_reproducibility():
-    a = gen_maxcut(ProblemSpec(14, degree=3, seed=9))
-    b = gen_maxcut(ProblemSpec(14, degree=3, seed=9))
+    a = gen_maxcut(14, degree=3, seed=9)
+    b = gen_maxcut(14, degree=3, seed=9)
     assert [(t.pauli.label(), t.coeff) for t in a] == [(t.pauli.label(), t.coeff) for t in b]
-    c = gen_maxcut(ProblemSpec(14, degree=3, seed=10))
+    c = gen_maxcut(14, degree=3, seed=10)
     assert [t.pauli.label() for t in a] != [t.pauli.label() for t in c]
 
 
 def test_infeasible_degree():
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec(3, degree=3)
+        gen_maxcut(3, degree=3)
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec(5, degree=3)
+        gen_maxcut(5, degree=3)
     with pytest.raises(InfeasibleDegree):
-        ProblemSpec(4, degree=4)
+        gen_maxcut(4, degree=4)
 
 
 def test_spec_needs_exactly_one_of_degree_or_edges():
     for kwargs in ({}, {"degree": 3, "edges": 12}):
         with pytest.raises(CliffexError, match="exactly one of degree or edges"):
-            ProblemSpec(10, **kwargs)
+            gen_maxcut(10, **kwargs)
 
 
 def test_labs_counts():
@@ -94,13 +96,25 @@ def test_labs_layering():
     assert len(three) == 3 * len(one)
 
 
+def test_one_angle_serves_every_layer():
+    assert gen_labs(6, 3, gammas=[0.1]) == gen_labs(6, 3, gammas=[0.1] * 3)
+    assert gen_maxcut(6, degree=3, layers=3, betas=[0.5]) == gen_maxcut(
+        6, degree=3, layers=3, betas=[0.5] * 3)
+    for kwargs in ({"gammas": [0.1, 0.2]}, {"betas": [0.1] * 4}):
+        with pytest.raises(InvalidSize, match="need 1 or 3"):
+            gen_labs(6, 3, **kwargs)
+        with pytest.raises(InvalidSize, match="need 1 or 3"):
+            gen_maxcut(6, degree=3, layers=3, **kwargs)
+
+
 def test_generated_instances_always_absorb():
-    specs = [
-        ProblemSpec(6, degree=3, seed=2, layers=2),
-        ProblemSpec(7, edges=9, seed=5, layers=3),
-        ProblemSpec(3, degree=2, seed=0, layers=1),
+    instances = [
+        gen_maxcut(6, degree=3, seed=2, layers=2),
+        gen_maxcut(7, edges=9, seed=5, layers=3),
+        gen_maxcut(3, degree=2, seed=0, layers=1),
+        gen_labs(6, 2),
+        gen_labs(5, 3),
     ]
-    instances = [gen_maxcut(s) for s in specs] + [gen_labs(6, 2), gen_labs(5, 3)]
     for terms in instances:
         res = extract(terms)
         pa = absorb_probabilities(res.extracted)  # must not raise
@@ -108,8 +122,7 @@ def test_generated_instances_always_absorb():
 
 
 def test_load_terms_roundtrip(tmp_path):
-    spec = ProblemSpec(3, degree=2, seed=0, gammas=(0.3,), betas=(0.5,))
-    terms = gen_maxcut(spec)
+    terms = gen_maxcut(3, degree=2, seed=0, gammas=(0.3,), betas=(0.5,))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(to_input_dict(3, terms)))
     prob = load_terms(path)

@@ -1,7 +1,9 @@
 import re
+import shlex
 from pathlib import Path
 
 import cliffex
+from cliffex.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +40,13 @@ def test_readme_python_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     # the CNOT count, then the signed string to measure instead of XXZZ
     assert capsys.readouterr().out.splitlines() == ["4", "-ZIZX"]
+
+
+def test_readme_gen_examples_run(tmp_path, monkeypatch):
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    commands = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in commands.splitlines() if line.startswith("cliffex gen ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
