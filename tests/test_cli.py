@@ -342,6 +342,72 @@ def test_postprocess_counts(tmp_path):
     assert data["counts"] == {"11": 5} and data["shots"] == 5
 
 
+def _postprocess_case(name):
+    """(n, network, counts) of a ``postprocess`` golden case."""
+    if name == "empty":
+        return 3, [[0, 1]], {}
+    if name == "zero-qubits":
+        return 0, [], {"": 3}
+    if name == "two-qubit-triangle":  # three CNOTs, 0->1->0->1: a swap
+        return 2, [[0, 1], [1, 0], [0, 1]], {"00": 4, "01": 3, "10": 2, "11": 1}
+    rng = np.random.default_rng(2024)  # "n50": 1,000 keys, 200 edges
+    keys = list(dict.fromkeys(int(k) for k in rng.integers(0, 2**50, size=1100)))[:1000]
+    counts = {format(k, "050b"): int(c) for k, c in zip(keys, rng.integers(1, 200, size=1000))}
+    network = [[int(q) for q in rng.choice(50, size=2, replace=False)] for _ in range(200)]
+    return 50, network, counts
+
+
+def _run_postprocess(d, n, network, counts):
+    """Run ``postprocess`` on the case in directory ``d``; the text it wrote."""
+    report = write_json(d / "report.json", {"num_qubits": n, "mode": "probabilities",
+                                            "absorption": {"h_mask": [], "network": network}})
+    counts_path = write_json(d / "counts.json",
+                             {"n": n, "shots": sum(counts.values()), "counts": counts})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("postprocess", counts_path, "--report", report, "--out", d / "post.json") == 0
+    return (d / "post.json").read_text(encoding="utf-8")
+
+
+# sha256 of the file ``postprocess`` writes for each case; a faster
+# post-processing path must keep these
+POSTPROCESS_GOLDEN = {
+    "empty":
+        "85afa65160234f934cb49a90657040e4c26342309e7d5b71bef1b815b74d5b4f",
+    "zero-qubits":
+        "69d627670a5a06964714d008d564a7f5eef85685a0bd10c63ec57d6b5aa91408",
+    "two-qubit-triangle":
+        "dfd5f9d93748cb30aeecabf456fd8f56ffe4054b8736a6722505c8a0b2cea699",
+    "n50":
+        "cdf975d85d26ec09881e0f12aadabedc869f7b8423ce3a35813ebb3697763d96",
+}
+
+
+@pytest.mark.parametrize("name", list(POSTPROCESS_GOLDEN))
+def test_postprocess_golden_bytes(tmp_path, name):
+    text = _run_postprocess(tmp_path, *_postprocess_case(name))
+    assert _sha(text.encode()) == POSTPROCESS_GOLDEN[name]
+
+
+@st.composite
+def _postprocess_inputs(draw):
+    n = draw(st.integers(0, 70))
+    network = []
+    if n >= 2:
+        edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        network = draw(st.lists(edge, max_size=60))
+    keys = draw(st.lists(st.integers(0, 2**n - 1), unique=True, max_size=30))
+    counts = {format(k | 1 << n, "b")[1:]: draw(st.integers(0, 10**12)) for k in keys}
+    return n, network, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_postprocess_inputs())
+def test_postprocess_writes_canonical_json(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        text = _run_postprocess(Path(tmp), *case)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_postprocess_requires_absorption_section(tmp_path):
     report = write_json(tmp_path / "report.json", {"num_qubits": 2, "mode": "observables"})
     counts = write_json(tmp_path / "counts.json", {"n": 2, "shots": 1, "counts": {"00": 1}})
