@@ -9,14 +9,13 @@ layer, appended to the executed circuit, plus a CNOT network on the
 measured bits.  That form exists unless some CNOT is followed by an odd
 number of Hadamards on exactly one of its two qubits; such a Clifford,
 or one with S/SDG gates, is refused.  The network is a linear map over
-GF(2): it is composed once into a bit matrix and then applied to each
-measured bitstring by table lookup, at a cost that does not depend on
-the network's length.
+GF(2), applied bit-sliced: the measured bitstrings are held as one
+column per qubit, an int with one bit per distinct bitstring, so each
+CNOT is one XOR over every bitstring at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, inverse
@@ -60,6 +59,17 @@ class CountsHistogram:
     shots: int
 
     def __post_init__(self):
+        # bulk checks first; on any fault the per-item loop names the first
+        counts, keys = self.counts.values(), self.counts.keys()
+        if (
+            set(map(type, keys)) <= {str}
+            and not "".join(keys).encode("ascii", "replace").translate(None, b"01")
+            and set(map(len, keys)) <= {self.n}
+            and set(map(type, counts)) <= {int}
+            and min(counts, default=0) >= 0
+            and sum(counts) == self.shots
+        ):
+            return
         total = 0
         for bits, c in self.counts.items():
             if len(bits) != self.n or set(bits) - {"0", "1"}:
@@ -128,54 +138,34 @@ def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:
     return ProbabilityAbsorption(extracted.n, h_mask, tuple(reversed(network)))
 
 
-def _network_map(network, n: int) -> Callable[[int], int]:
-    """The action of a CNOT network (bit[target] ^= bit[control], in time
-    order) on an n-bit string read as an int, character q at bit n-1-q:
-    ``int("0" + bits, 2)`` reads a string in and
-    ``format(v | 1 << n, "b")[1:]`` writes one out, n = 0 included.
+def _apply_network(network, n: int, keys) -> list[str]:
+    """Each n-bit string of ``keys`` after the CNOT network
+    (bit[target] ^= bit[control], in time order), in the same order.
 
-    The network is composed once into one GF(2) row per output bit,
-    transposed into the output bits each input bit flips, and packed
-    into one 256-entry XOR table per input byte, so a bitstring costs
-    ceil(n/8) lookups however long the network is.
-    """
-    rows = [1 << (n - 1 - q) for q in range(n)]
+    Bit-sliced: column q is an int holding character q of every string,
+    so a CNOT is one XOR over all of them, whatever their number."""
+    m = len(keys)
+    if not (m and n):
+        return list(keys)
+    flat = "".join(keys)
+    cols = [int(flat[q::n], 2) for q in range(n)]
     for c, t in network:
-        rows[t] ^= rows[c]
-    cols = [0] * n
-    for q, row in enumerate(rows):
-        for j in range(n):
-            if row >> j & 1:
-                cols[j] |= 1 << (n - 1 - q)
-    tables = []
-    for lo in range(0, n, 8):
-        table = [0]
-        for col in cols[lo : lo + 8]:
-            table += [v ^ col for v in table]
-        tables.append(table)
-
-    def apply(v: int) -> int:
-        out = 0
-        for table in tables:
-            out ^= table[v & 255]
-            v >>= 8
-        return out
-
-    return apply
+        cols[t] ^= cols[c]
+    buf = bytearray(m * n)
+    for q, col in enumerate(cols):
+        buf[q::n] = format(col | 1 << m, "b")[1:].encode()
+    flat = buf.decode()
+    return [flat[i : i + n] for i in range(0, m * n, n)]
 
 
 def postprocess_counts(pa: ProbabilityAbsorption, hist: CountsHistogram) -> CountsHistogram:
-    """Map every measured bitstring through the network, composed once
-    for the whole histogram; keys keep the input's order.  The map is a
-    bijection, so the total shot count is preserved."""
+    """Map every measured bitstring through the network; keys keep the
+    input's order.  The map is a bijection (a CNOT's two ends differ),
+    so no two keys merge and the total shot count is preserved."""
     if hist.n != pa.n:
         raise BitstringLengthMismatch(f"{hist.n}-bit histogram vs {pa.n}-qubit absorption")
-    mapped, top = _network_map(pa.network, pa.n), 1 << pa.n
-    out: dict[str, int] = {}
-    for bits, c in hist.counts.items():
-        key = format(mapped(int("0" + bits, 2)) | top, "b")[1:]
-        out[key] = out.get(key, 0) + c
-    return CountsHistogram(hist.n, out, hist.shots)
+    keys = _apply_network(pa.network, pa.n, list(hist.counts))
+    return CountsHistogram(hist.n, dict(zip(keys, hist.counts.values())), hist.shots)
 
 
 def map_expectations(records: list[TransformedObservable], measured: list[float]) -> list[float]:

@@ -54,6 +54,35 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_counts(path, hist: CountsHistogram) -> None:
+    """``_write_json`` of the histogram's n, shots and counts, byte for
+    byte (the keys are binary strings and the counts ints), written line
+    by line instead of through the generic encoder."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{\n  "counts": {')
+        sep = "\n"
+        for k in sorted(hist.counts):
+            f.write(f'{sep}    "{k}": {hist.counts[k]}')
+            sep = ",\n"
+        f.write("\n  }" if hist.counts else "}")
+        f.write(f',\n  "n": {hist.n},\n  "shots": {hist.shots}\n}}\n')
+
+
+def _check_outputs(inputs: dict[str, str], outputs) -> None:
+    """Raise CliffexError unless every output is a path in an existing
+    directory and no two of them, nor an output and one of ``inputs``
+    (path -> how to name it), are the same file.  A command calls this
+    before it writes anything, so a bad path overwrites no file."""
+    seen = {Path(path).resolve(): what for path, what in inputs.items()}
+    for path in outputs:
+        if not Path(path).parent.is_dir() or Path(path).is_dir():
+            raise CliffexError(f"cannot write {path}: no such directory, or the path is one")
+        target = Path(path).resolve()
+        if target in seen:
+            raise CliffexError(f"cannot write {path}: it is the same file as {seen[target]}")
+        seen[target] = path
+
+
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -86,16 +115,8 @@ def cmd_optimize(args) -> int:
     if prob.mode == "observables" and not prob.observables:
         return _fail("observable mode needs an 'observables' list in the input")
     exec_paths = _executed_paths(args.out, prob.mode, len(prob.observables))
-    # check every output before writing any, so a bad path leaves no
-    # half-written set of artifacts behind
-    seen = {Path(args.input).resolve(): f"the input {args.input}"}
-    for path in (args.out, args.clifford, *exec_paths, args.report):
-        if not Path(path).parent.is_dir() or Path(path).is_dir():
-            return _fail(f"cannot write {path}: no such directory, or the path is one")
-        target = Path(path).resolve()
-        if target in seen:
-            return _fail(f"cannot write {path}: it is the same file as {seen[target]}")
-        seen[target] = path
+    _check_outputs({args.input: f"the input {args.input}"},
+                   (args.out, args.clifford, *exec_paths, args.report))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = extract(prob.terms)
@@ -182,6 +203,8 @@ def _absorption(report) -> ProbabilityAbsorption:
 
 
 def cmd_postprocess(args) -> int:
+    _check_outputs({args.counts: f"the counts file {args.counts}",
+                    args.report: f"the report {args.report}"}, (args.out,))
     pa = _absorption(_read_json(args.report, "report"))
     data = _read_json(args.counts, "counts")
     n, shots = (
@@ -191,7 +214,7 @@ def cmd_postprocess(args) -> int:
     counts = _field(data, "counts", "counts file", '"counts" is not an object',
                     lambda v: isinstance(v, dict))
     out = postprocess_counts(pa, CountsHistogram(n, counts, shots))
-    _write_json(args.out, {"n": out.n, "shots": out.shots, "counts": out.counts})
+    _write_counts(args.out, out)
     print(f"rewrote {len(counts)} bitstrings ({out.shots} shots) to {args.out}")
     return OK
 
@@ -228,6 +251,8 @@ def _observable_records(report) -> list[TransformedObservable]:
 
 
 def cmd_map_expectations(args) -> int:
+    _check_outputs({args.values: f"the values file {args.values}",
+                    args.report: f"the report {args.report}"}, (args.out,))
     records = _observable_records(_read_json(args.report, "report"))
     values = _field(
         _read_json(args.values, "values"), "values", f"values file {args.values}",

@@ -19,8 +19,8 @@ from cliffex import (
     s,
     sdg,
 )
-from cliffex.absorb import ProbabilityAbsorption, _network_map
-from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NotReducible
+from cliffex.absorb import ProbabilityAbsorption
+from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NotReducible, SchemaError
 from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import conj_rows
 
@@ -327,15 +327,22 @@ def _networks_and_histograms(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_networks_and_histograms())
-def test_composed_network_matches_gate_by_gate_replay(case):
-    pa, hist = case
-    mapped = _network_map(pa.network, pa.n)
+def _postprocessed_indices(pa):
+    """mapped[i]: the index ``postprocess_counts`` sends bitstring i to,
+    read off the full 2^n histogram in which bitstring i has count i + 1."""
+    n = pa.n
+    counts = {format(i | 1 << n, "b")[1:]: i + 1 for i in range(2**n)}
+    out = postprocess_counts(pa, CountsHistogram(n, counts, sum(counts.values())))
+    mapped = [0] * 2**n
+    for key, c in out.counts.items():
+        mapped[c - 1] = int("0" + key, 2)
+    return mapped
+
+
+def _check_against_replay(pa, hist):
     expected: dict[str, int] = {}
     for bits, c in hist.counts.items():
         key = _replay_network(pa.network, bits)
-        assert format(mapped(int("0" + bits, 2)) | 1 << pa.n, "b")[1:] == key
         expected[key] = expected.get(key, 0) + c
     out = postprocess_counts(pa, hist)
     assert list(out.counts.items()) == list(expected.items())
@@ -343,11 +350,77 @@ def test_composed_network_matches_gate_by_gate_replay(case):
     assert len(out.counts) == len(hist.counts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_networks_and_histograms())
+def test_composed_network_matches_gate_by_gate_replay(case):
+    _check_against_replay(*case)
+
+
+def test_network_on_columns_longer_than_a_word():
+    # 2,000 distinct 60-bit strings: every column spans many machine words
+    rng = np.random.default_rng(61)
+    n = 60
+    network = tuple(tuple(int(q) for q in rng.choice(n, size=2, replace=False)) for _ in range(300))
+    keys = dict.fromkeys(format(int(k), "060b") for k in rng.integers(0, 2**60, size=2100))
+    counts = {k: int(c) for k, c in zip(list(keys)[:2000], rng.integers(0, 50, size=2000))}
+    assert len(counts) == 2000
+    _check_against_replay(ProbabilityAbsorption(n, frozenset(), network),
+                          CountsHistogram(n, counts, sum(counts.values())))
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         CountsHistogram(2, {"00": 1}, 2)
     with pytest.raises(BitstringLengthMismatch):
         CountsHistogram(2, {"000": 1}, 1)
+
+
+def _reference_validation(n, counts, shots):
+    # the per-item rules CountsHistogram is specified by, first fault first
+    total = 0
+    for bits, c in counts.items():
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise BitstringLengthMismatch(f"bitstring {bits!r} is not {n} binary digits")
+        if type(c) is not int or c < 0:
+            raise SchemaError(f"count for {bits!r} must be a non-negative integer")
+        total += c
+    if total != shots:
+        raise SchemaError(f"counts sum to {total}, expected {shots} shots")
+
+
+def _outcome(make, *args):
+    try:
+        make(*args)
+    except Exception as exc:  # any type: the two sides must raise the same
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _histogram_args(draw):
+    """(n, counts, shots), valid or with faults anywhere in the dict: a
+    key of the wrong length or with an odd character (underscore, space,
+    newline, plus, a fullwidth or Arabic-Indic digit, a letter), a
+    negative, boolean or float count, a wrong shot total."""
+    n = draw(st.integers(0, 4))
+    bit, odd = st.sampled_from("01"), st.sampled_from("_ \n+\uff11\u0661\u00e9")
+    key = st.one_of(
+        st.text(bit, min_size=n, max_size=n),
+        st.lists(st.one_of(bit, bit, odd), min_size=n, max_size=n).map("".join),
+        st.text(st.one_of(bit, odd), max_size=5),
+    )
+    count = st.one_of(st.integers(0, 10), st.integers(0, 10), st.integers(-3, -1),
+                      st.booleans(), st.floats(-2, 10, allow_nan=False))
+    counts = draw(st.dictionaries(key, count, max_size=6))
+    own_sum = sum(c for c in counts.values() if isinstance(c, int))
+    return n, counts, draw(st.one_of(st.just(own_sum), st.integers(-2, 40)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_histogram_args())
+def test_histogram_validation_matches_per_item_rules(args):
+    expected = _outcome(_reference_validation, *args)
+    assert _outcome(CountsHistogram, *args) == expected
 
 
 def test_probability_distribution_equality_qaoa_form():
@@ -365,9 +438,9 @@ def test_probability_distribution_equality_qaoa_form():
         executed = Circuit(n, res.opt_circuit.gates + tuple(h(q) for q in sorted(pa.h_mask)))
         p_full = probabilities(native_circuit(terms))
         p_exec = probabilities(executed)
-        mapped = _network_map(pa.network, n)
+        mapped = _postprocessed_indices(pa)
         for idx in range(2**n):
-            assert abs(p_full[mapped(idx)] - p_exec[idx]) <= 1e-9
+            assert abs(p_full[mapped[idx]] - p_exec[idx]) <= 1e-9
 
 
 # ------------------------------------------------------------ expectations

@@ -637,9 +637,15 @@ def test_malformed_absorption_exits_2(tmp_path, capsys, triangle_input, key, val
         ({"n": True, "shots": 1, "counts": {"1": 1}}, '"n" is not a non-negative integer'),
         ({"n": -2, "shots": 0, "counts": {}}, '"n" is not a non-negative integer'),
         ({"n": 3, "shots": 1, "counts": {"010": True}}, "count for '010' must be a non-negative"),
+        # int(key, 2) reads each of these three keys; the counts reader does not
+        ({"n": 3, "shots": 1, "counts": {"0_1": 1}}, "bitstring '0_1' is not 3 binary digits"),
+        ({"n": 2, "shots": 1, "counts": {"00": 0, "\uff110": 1}},
+         "bitstring '\uff110' is not 2 binary digits"),
+        ({"n": 3, "shots": 1, "counts": {"01\n": 1}}, "bitstring '01\\n' is not 3 binary digits"),
     ],
     ids=["not-an-object", "counts-not-an-object", "shot-sum", "non-integer", "negative",
-         "short-key", "shots-float", "shots-bool", "n-bool", "n-negative", "count-bool"],
+         "short-key", "shots-float", "shots-bool", "n-bool", "n-negative", "count-bool",
+         "underscore", "fullwidth-digit", "trailing-newline"],
 )
 def test_malformed_counts_exits_2(tmp_path, capsys, payload, message):
     report = write_json(
@@ -674,6 +680,28 @@ def test_output_path_is_a_directory_exits_2(tmp_path, capsys, command):
     }[command]
     assert run(*argv, "--out", d) == 2
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, target", [
+    ("postprocess", "counts.json"), ("postprocess", "report.json"),
+    ("map-expectations", "values.json"), ("map-expectations", "report.json"),
+])
+def test_output_path_that_is_an_input_exits_2(tmp_path, capsys, command, target):
+    # --out naming an input, here through a detour, must not replace it
+    report = write_json(tmp_path / "report.json", {
+        "num_qubits": 2,
+        "absorption": {"h_mask": [0], "network": [[0, 1]]},
+        "observables": [{"original": "XZ", "transformed": "-ZX", "basis_layer": []}],
+    })
+    counts = write_json(tmp_path / "counts.json", {"n": 2, "shots": 5, "counts": {"10": 5}})
+    values = write_json(tmp_path / "values.json", {"values": [0.5]})
+    (tmp_path / "d").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    first = counts if command == "postprocess" else values
+    assert run(command, first, "--report", report, "--out", tmp_path / "d" / ".." / target) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and "is the same file as the" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def _written(d, name, *gates):
