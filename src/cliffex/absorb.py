@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, inverse
-from .errors import BitstringLengthMismatch, LengthMismatch, NotReducible, SchemaError
+from .errors import LengthMismatch, NotReducible, SchemaError
 from .extract import basis_change_gates
 from .pauli import PauliString
 from .tableau import conj_rows
@@ -45,11 +45,18 @@ class ProbabilityAbsorption:
     """One Hadamard layer plus a CNOT network equivalent to the extracted
     Clifford: executing [optimized circuit + H on h_mask] and pushing
     every measured bitstring through the network reproduces the original
-    distribution."""
+    distribution.  Raises ValueError unless every mask qubit and edge end
+    lies in [0, n) and each edge's two ends differ."""
 
     n: int
     h_mask: frozenset[int]
     network: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not all(0 <= q < self.n for q in self.h_mask):
+            raise ValueError(f"h_mask is not a list of qubits in [0, {self.n})")
+        if not all(0 <= c < self.n and 0 <= t < self.n and c != t for c, t in self.network):
+            raise ValueError(f"network is not a list of pairs of distinct qubits in [0, {self.n})")
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,8 @@ class CountsHistogram:
             return
         total = 0
         for bits, c in self.counts.items():
-            if len(bits) != self.n or set(bits) - {"0", "1"}:
-                raise BitstringLengthMismatch(
-                    f"bitstring {bits!r} is not {self.n} binary digits"
-                )
+            if not isinstance(bits, str) or len(bits) != self.n or set(bits) - {"0", "1"}:
+                raise SchemaError(f"bitstring {bits!r} is not {self.n} binary digits")
             if type(c) is not int or c < 0:
                 raise SchemaError(f"count for {bits!r} must be a non-negative integer")
             total += c
@@ -96,13 +101,12 @@ def absorb_observables(
     for o in observables:
         if o.n != n:
             raise LengthMismatch(f"{o.n}-qubit observable vs {n}-qubit Clifford")
-    rows = [o.x | o.z << n for o in observables]
-    signs = [o.sign for o in observables]
-    conj_rows(rows, signs, 0, [inverse(g) for g in reversed(extracted.gates)], n)
+    rows = [o.x | o.z << n | (o.sign < 0) << 2 * n for o in observables]
+    conj_rows(rows, 0, [inverse(g) for g in reversed(extracted.gates)], n)
     full = (1 << n) - 1
     out = []
-    for o, r, sign in zip(observables, rows, signs):
-        t = PauliString(n, r & full, r >> n, sign)
+    for o, r in zip(observables, rows):
+        t = PauliString(n, r & full, r >> n & full, -1 if r >> 2 * n else 1)
         out.append(TransformedObservable(o, t, tuple(basis_change_gates(t))))
     return out
 
@@ -163,7 +167,7 @@ def postprocess_counts(pa: ProbabilityAbsorption, hist: CountsHistogram) -> Coun
     input's order.  The map is a bijection (a CNOT's two ends differ),
     so no two keys merge and the total shot count is preserved."""
     if hist.n != pa.n:
-        raise BitstringLengthMismatch(f"{hist.n}-bit histogram vs {pa.n}-qubit absorption")
+        raise LengthMismatch(f"{hist.n}-bit histogram vs {pa.n}-qubit absorption")
     keys = _apply_network(pa.network, pa.n, list(hist.counts))
     return CountsHistogram(hist.n, dict(zip(keys, hist.counts.values())), hist.shots)
 

@@ -209,6 +209,8 @@ def parse_qasm(text: str) -> Circuit:
             m = _QASM_QREG.match(stmt)
             if m and n is None:
                 n = int(m.group(1))
+                if n < 1:
+                    raise ValueError(f"qubit count must be positive, got {n}")
                 continue
             if n is None:
                 raise ValueError("gate before qreg declaration")

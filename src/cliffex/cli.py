@@ -123,7 +123,7 @@ def cmd_optimize(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     opt = peephole(result.opt_circuit)
-    native = native_circuit(prob.terms, prob.n)
+    native = native_circuit(prob.terms)
 
     report: dict = {
         "input_digest": _digest(args.input),
@@ -183,23 +183,25 @@ def _count(v) -> bool:
 
 
 def _absorption(report) -> ProbabilityAbsorption:
-    """The report's probabilities-mode section, after checking that the
-    mask and every network edge name qubits of the register (an edge
-    with equal ends would make the map collapse bitstrings)."""
+    """The report's probabilities-mode section: its JSON shape is checked
+    here, the qubit ranges by ``ProbabilityAbsorption``."""
     n = _field(report, "num_qubits", "report", "num_qubits is not a non-negative integer", _count)
     section = _field(report, "absorption", "report")
 
-    def qubits(values) -> bool:
-        return isinstance(values, list) and all(type(q) is int and 0 <= q < n for q in values)
+    def ints(values) -> bool:
+        return isinstance(values, list) and all(type(q) is int for q in values)
 
     mask = _field(section, "h_mask", "report absorption",
-                  f"h_mask is not a list of qubits in [0, {n})", qubits)
+                  f"h_mask is not a list of qubits in [0, {n})", ints)
     network = _field(
         section, "network", "report absorption",
         f"network is not a list of pairs of distinct qubits in [0, {n})",
-        lambda v: isinstance(v, list) and all(qubits(e) and len(e) == 2 and e[0] != e[1] for e in v),
+        lambda v: isinstance(v, list) and all(ints(e) and len(e) == 2 for e in v),
     )
-    return ProbabilityAbsorption(n, frozenset(mask), tuple((c, t) for c, t in network))
+    try:
+        return ProbabilityAbsorption(n, frozenset(mask), tuple((c, t) for c, t in network))
+    except ValueError as exc:
+        raise SchemaError(f"report absorption {exc}") from None
 
 
 def cmd_postprocess(args) -> int:
@@ -347,7 +349,7 @@ def cmd_verify(args) -> int:
     opt = _artifact(opt_path, "optimized circuit", prob.n)
     cliff = _artifact(cliff_path, "Clifford circuit", prob.n)
     executed = [_artifact(path, "executed circuit", prob.n) for path in exec_paths]
-    native = native_circuit(prob.terms, prob.n)
+    native = native_circuit(prob.terms)
     failures = 0
 
     def check(name: str, ok: bool) -> None:

@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
-from .errors import EmptyTree, MixedQubitCounts
+from .errors import InvalidSize, LengthMismatch
 from .pauli import PauliString, PauliTerm, _letter_at, _support
 from .tableau import _conj_gate, conj_rows
 
@@ -64,7 +64,7 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
     for k, t in enumerate(terms):
         p = t.pauli
         if p.n != n:
-            raise MixedQubitCounts(f"term {k} acts on {p.n} qubits, expected {n}")
+            raise LengthMismatch(f"term {k} acts on {p.n} qubits, expected {n}")
         if not all(p.commutes(b) for b in span.values()):
             blocks.append(cur)
             cur, span = [], {}
@@ -188,28 +188,26 @@ def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Ga
     """
     idxs = sorted(set(tree_idxs))
     if not idxs:
-        raise EmptyTree("tree synthesis needs at least one qubit")
+        raise InvalidSize("tree synthesis needs at least one qubit")
     full = (1 << n) - 1
 
     def guidance(level: int):
         j = lo + level - 1
-        return (rows[j] & full, rows[j] >> n) if j < len(rows) else None
+        return (rows[j] & full, rows[j] >> n & full) if j < len(rows) else None
 
     out: list[tuple[int, int]] = []
     root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
     return [cx(a, b) for a, b in out], root
 
 
-def _score_candidates(
-    rows: list[int], lo: int, hi: int, smask: int, layer: list[Gate], n: int
-) -> int:
+def _score_candidates(rows: list[int], lo: int, hi: int, smask: int, n: int) -> int:
     """Index of the candidate row in ``rows[lo:hi]`` (conjugated through
-    every gate emitted so far and packed as x | z << n) with the fewest
-    non-identity letters after simulating the current string's basis
-    ``layer`` and a non-recursive tree over its support ``smask`` keyed on
-    that candidate; ties go to the lowest index.  Both act only on the support S, so the
-    letters off S count as they are and the weight left on S is simulated
-    once per distinct pattern."""
+    every gate emitted so far, the current string's basis layer included,
+    and packed as x | z << n) with the fewest non-identity letters after
+    simulating a non-recursive tree over the current support ``smask``
+    keyed on that candidate; ties go to the lowest index.  The tree acts
+    only on the support S, so the letters off S count as they are and the
+    weight left on S is simulated once per distinct pattern."""
     supp = _support(smask)
     full = (1 << n) - 1
     mask, off = smask | smask << n, full & ~smask
@@ -221,8 +219,6 @@ def _score_candidates(
             w = memo.get(key)
             if w is None:
                 bx, bz = key & full, key >> n
-                for g in layer:
-                    bx, bz, _ = _conj_gate(bx, bz, g.kind, g.qubits)
                 for ct in _chain_tree(supp, bx, bz):
                     bx, bz, _ = _conj_gate(bx, bz, "cx", ct)
                 w = memo[key] = (bx | bz).bit_count()
@@ -251,7 +247,7 @@ def extract(terms) -> ExtractionResult:
     order: list[tuple[int, PauliTerm]] = []
     for k, t in enumerate(terms):
         if t.pauli.n != n:
-            raise MixedQubitCounts(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
+            raise LengthMismatch(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
         if t.pauli.x | t.pauli.z:
             order.append((k, t))
         else:
@@ -265,30 +261,31 @@ def extract(terms) -> ExtractionResult:
     reorders = 0
     blocks = convert_commute_sets([t for _, t in order]) if order else []
 
-    # rows[k], signs[k] is order[k]'s string conjugated through every gate
-    # emitted so far, as x | z << n; rows[:i + 1] are no longer updated
-    rows = [t.pauli.x | t.pauli.z << n for _, t in order]
-    signs = [t.pauli.sign for _, t in order]
+    # rows[k] is order[k]'s signed string conjugated through every gate
+    # emitted so far, packed as x | z << n | (sign < 0) << 2n; rows[:i + 1]
+    # are no longer updated
+    rows = [t.pauli.x | t.pauli.z << n | (t.pauli.sign < 0) << 2 * n for _, t in order]
     full = (1 << n) - 1
     hi = 0
     for block in blocks:
         hi += len(block)
         for i in range(hi - len(block), hi):
-            px, pz = rows[i] & full, rows[i] >> n
+            px, pz = rows[i] & full, rows[i] >> n & full
             layer = basis_change_gates(PauliString(n, px, pz))
+            conj_rows(rows, i + 1, layer, n)
             if i + 1 < hi:
-                j = _score_candidates(rows, i + 1, hi, px | pz, layer, n)
+                j = _score_candidates(rows, i + 1, hi, px | pz, n)
                 if j != i + 1:
-                    for lst in (order, rows, signs):
+                    for lst in (order, rows):
                         lst.insert(i + 1, lst.pop(j))
                     reorders += 1
             supp = _support(px | pz)
-            conj_rows(rows, signs, i + 1, layer, n)
             tree, root = tree_synthesis(rows, i + 1, n, supp)
-            conj_rows(rows, signs, i + 1, tree, n)
+            conj_rows(rows, i + 1, tree, n)
             gates += layer
             gates += tree
-            gates.append(rz(root, -2.0 * order[i][1].coeff * signs[i]))
+            sign = -1 if rows[i] >> 2 * n else 1
+            gates.append(rz(root, -2.0 * order[i][1].coeff * sign))
             weights.append(len(supp))
 
     stats = {
@@ -304,20 +301,19 @@ def extract(terms) -> ExtractionResult:
     return ExtractionResult(Circuit(n, tuple(gates)), Circuit(n, extracted), stats)
 
 
-def native_circuit(terms, n: int | None = None) -> Circuit:
+def native_circuit(terms) -> Circuit:
     """Reference synthesis without extraction: every rotation becomes a
     mirrored basis-layer/chain/RZ/inverse-chain/inverse-layer block, so a
     weight-w term costs 2(w-1) CNOTs.  Identity terms are skipped."""
     terms = list(terms)
-    if n is None:
-        if not terms:
-            raise ValueError("need terms or an explicit qubit count")
-        n = terms[0].pauli.n
+    if not terms:
+        raise ValueError("cannot synthesize an empty term list")
+    n = terms[0].pauli.n
     gates: list[Gate] = []
     for k, t in enumerate(terms):
         p = t.pauli
         if p.n != n:
-            raise MixedQubitCounts(f"term {k} acts on {p.n} qubits, expected {n}")
+            raise LengthMismatch(f"term {k} acts on {p.n} qubits, expected {n}")
         supp = _support(p.x | p.z)
         if not supp:
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLetter, InvalidSize, LengthMismatch
+from .errors import InvalidSize, LengthMismatch, SchemaError
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # indexed by x_bit + 2*z_bit
@@ -96,13 +96,13 @@ def parse_pauli(text: str) -> PauliString:
             sign = -1
         text = text[1:]
     if not text:
-        raise InvalidLetter("empty Pauli word")
+        raise SchemaError("empty Pauli word")
     x = z = 0
     for q, ch in enumerate(text):
         try:
             xb, zb = _LETTER_BITS[ch]
         except KeyError:
-            raise InvalidLetter(f"invalid Pauli letter {ch!r} at position {q}") from None
+            raise SchemaError(f"invalid Pauli letter {ch!r} at position {q}") from None
         x |= xb << q
         z |= zb << q
     return PauliString(len(text), x, z, sign)

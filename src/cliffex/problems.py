@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InfeasibleDegree, InvalidSize, LengthMismatch, SchemaError
+from .errors import InvalidSize, LengthMismatch, SchemaError
 from .pauli import PauliString, PauliTerm, parse_pauli
 
 
@@ -45,7 +45,7 @@ def _regular_graph(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
             rem[v] -= 1
         if ok:
             return sorted(chosen)
-    raise InfeasibleDegree(f"failed to sample a {degree}-regular graph on {n} nodes")
+    raise InvalidSize(f"failed to sample a {degree}-regular graph on {n} nodes")
 
 
 def _random_graph(n: int, edges: int, seed: int) -> list[tuple[int, int]]:
@@ -86,9 +86,9 @@ def gen_maxcut(n: int, degree: int | None = None, edges: int | None = None, seed
         raise InvalidSize(f"node count must be positive, got {n}")
     if degree is not None:
         if degree < 1 or degree >= n:
-            raise InfeasibleDegree(f"degree {degree} infeasible on {n} nodes")
+            raise InvalidSize(f"degree {degree} infeasible on {n} nodes")
         if (n * degree) % 2:
-            raise InfeasibleDegree(f"no {degree}-regular graph on {n} nodes (odd stub count)")
+            raise InvalidSize(f"no {degree}-regular graph on {n} nodes (odd stub count)")
         graph = _regular_graph(n, degree, seed)
     else:
         limit = n * (n - 1) // 2

@@ -8,7 +8,7 @@ simulation of stabilizer circuits", 2004) exists once, in
 bit on one qubit, so one call updates every row at once (the column
 layout of Gidney, "Stim", 2021).  ``_conj_gate`` applies it to one
 string packed as ``x | z << n``; ``conj_rows`` applies that to a list of
-packed rows (the waiting strings that extraction keeps, and the
+signed packed rows (the waiting strings that extraction keeps, and the
 observables that absorption rewrites); ``replay`` runs a whole circuit,
 RZ gates included, over one X and one Z column per qubit.
 """
@@ -39,12 +39,12 @@ def _conj_gate(x: int, z: int, kind: str, qubits) -> tuple[int, int, int]:
     return x ^ (xa ^ ya) << a ^ (xb ^ yb) << b, z ^ (za ^ wa) << a ^ (zb ^ wb) << b, flip
 
 
-def conj_rows(rows: list[int], signs: list[int], lo: int, gates, n: int) -> None:
-    """Conjugate ``rows[lo:]`` (strings packed as x | z << n) and their
-    +/-1 ``signs`` in place by ``gates`` appended in time order.  The
-    gates touch only their own qubits, so a row's pattern on those qubits
-    is simulated once per distinct pattern and the rest of the row is
-    kept."""
+def conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
+    """Conjugate ``rows[lo:]`` (signed strings packed as x | z << n, with
+    bit 2n set when the sign is -1, as in a stabilizer tableau) in place
+    by ``gates`` appended in time order.  The gates touch only their own
+    qubits, so a row's pattern on those qubits is simulated once per
+    distinct pattern and the rest of the row is kept."""
     mask = 0
     for g in gates:
         for q in g.qubits:
@@ -53,21 +53,18 @@ def conj_rows(rows: list[int], signs: list[int], lo: int, gates, n: int) -> None
         return
     mask |= mask << n
     full = (1 << n) - 1
-    memo: dict[int, tuple[int, int]] = {}  # pattern -> (pattern ^ image, flip)
+    memo: dict[int, int] = {}  # pattern -> pattern ^ image ^ flip << 2n
     for k, v in enumerate(rows[lo:], lo):
         key = v & mask
         if key:
-            hit = memo.get(key)
-            if hit is None:
+            d = memo.get(key)
+            if d is None:
                 x, z, flip = key & full, key >> n, 0
                 for g in gates:
                     x, z, f = _conj_gate(x, z, g.kind, g.qubits)
                     flip ^= f
-                hit = memo[key] = (key ^ x ^ z << n, flip)
-            d, flip = hit
+                d = memo[key] = key ^ x ^ z << n ^ flip << 2 * n
             rows[k] = v ^ d
-            if flip:
-                signs[k] = -signs[k]
 
 
 def replay(gates, n: int) -> tuple[list[PauliString], list[tuple[PauliString, float]]]:

@@ -20,7 +20,7 @@ from cliffex import (
     sdg,
 )
 from cliffex.absorb import ProbabilityAbsorption
-from cliffex.errors import BitstringLengthMismatch, LengthMismatch, NotReducible, SchemaError
+from cliffex.errors import LengthMismatch, NotReducible, SchemaError
 from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import conj_rows
 
@@ -104,9 +104,9 @@ def test_basis_layer_rotates_transformed_to_z():
         word = "".join(rng.choice(list("IXYZ"), size=n))
         rec = absorb_observables(Circuit(n), [parse_pauli(word)])[0]
         t = rec.transformed
-        rows, signs = [t.x | t.z << n], [t.sign]
-        conj_rows(rows, signs, 0, rec.basis_layer, n)
-        assert rows[0] == (t.x | t.z) << n  # Z on the support, nothing else
+        rows = [t.x | t.z << n]
+        conj_rows(rows, 0, rec.basis_layer, n)
+        assert rows[0] == (t.x | t.z) << n  # +Z on the support, nothing else
 
 
 def test_two_rotation_pipeline_observable():
@@ -300,7 +300,7 @@ def test_postprocess_preserves_shots_and_is_injective():
 
 def test_postprocess_length_mismatch():
     pa = ProbabilityAbsorption(3, frozenset(), ())
-    with pytest.raises(BitstringLengthMismatch):
+    with pytest.raises(LengthMismatch):
         postprocess_counts(pa, CountsHistogram(2, {"00": 1}, 1))
 
 
@@ -371,16 +371,18 @@ def test_network_on_columns_longer_than_a_word():
 def test_histogram_validation():
     with pytest.raises(ValueError):
         CountsHistogram(2, {"00": 1}, 2)
-    with pytest.raises(BitstringLengthMismatch):
+    with pytest.raises(SchemaError):
         CountsHistogram(2, {"000": 1}, 1)
+    with pytest.raises(SchemaError, match="^bitstring 1 is not 2 binary digits$"):
+        CountsHistogram(2, {1: 1}, 1)
 
 
 def _reference_validation(n, counts, shots):
     # the per-item rules CountsHistogram is specified by, first fault first
     total = 0
     for bits, c in counts.items():
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise BitstringLengthMismatch(f"bitstring {bits!r} is not {n} binary digits")
+        if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
+            raise SchemaError(f"bitstring {bits!r} is not {n} binary digits")
         if type(c) is not int or c < 0:
             raise SchemaError(f"count for {bits!r} must be a non-negative integer")
         total += c
@@ -400,14 +402,16 @@ def _outcome(make, *args):
 def _histogram_args(draw):
     """(n, counts, shots), valid or with faults anywhere in the dict: a
     key of the wrong length or with an odd character (underscore, space,
-    newline, plus, a fullwidth or Arabic-Indic digit, a letter), a
-    negative, boolean or float count, a wrong shot total."""
+    newline, plus, a fullwidth or Arabic-Indic digit, a letter), a key
+    that is not a string (an int, bytes, None), a negative, boolean or
+    float count, a wrong shot total."""
     n = draw(st.integers(0, 4))
     bit, odd = st.sampled_from("01"), st.sampled_from("_ \n+\uff11\u0661\u00e9")
     key = st.one_of(
         st.text(bit, min_size=n, max_size=n),
         st.lists(st.one_of(bit, bit, odd), min_size=n, max_size=n).map("".join),
         st.text(st.one_of(bit, odd), max_size=5),
+        st.one_of(st.integers(0, 11), st.binary(max_size=4), st.none()),
     )
     count = st.one_of(st.integers(0, 10), st.integers(0, 10), st.integers(-3, -1),
                       st.booleans(), st.floats(-2, 10, allow_nan=False))

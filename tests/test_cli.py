@@ -755,6 +755,9 @@ def _edited(name, edit):
                      "missing ';'", id="missing-semicolon"),
         pytest.param("optimized", _edited("opt.qasm", lambda t: t.split("qreg")[0]),
                      "lacks a qreg declaration", id="no-qreg"),
+        pytest.param("optimized", _edited("opt.qasm", lambda t: t.replace("qreg q[3]", "qreg q[0]")),
+                     "edit.qasm: bad qasm statement 'qreg q[0]': qubit count must be positive, got 0",
+                     id="empty-register"),
     ],
 )
 def test_verify_bad_artifact_path_exits_2(tmp_path, capsys, triangle_input, key, value, message):
@@ -1177,7 +1180,7 @@ def _dense_equivalent(inp, report, opt_text, cliff_text) -> bool:
     opt, cliff = parse_qasm(opt_text), parse_qasm(cliff_text)
     n = prob.n
     if not equivalent_up_to_phase(circuit_unitary(Circuit(n, opt.gates + cliff.gates)),
-                                  circuit_unitary(native_circuit(prob.terms, n)), 1e-6):
+                                  circuit_unitary(native_circuit(prob.terms)), 1e-6):
         return False
     e = circuit_unitary(cliff)
     if report["mode"] == "probabilities":

@@ -21,7 +21,7 @@ from cliffex import (
     s,
     sdg,
 )
-from cliffex.errors import EmptyTree, MixedQubitCounts
+from cliffex.errors import InvalidSize, LengthMismatch
 from cliffex.extract import _chain_tree, _score_candidates, basis_change_gates, tree_synthesis
 from cliffex.pauli import PauliString, PauliTerm, _support
 from cliffex.tableau import conj_rows
@@ -53,9 +53,15 @@ def _rotation_product(terms, n):
 
 def _conjugate(gates, p):
     """D p D† for the Clifford D of ``gates`` (time order), through ``conj_rows``."""
-    rows, signs = [p.x | p.z << p.n], [p.sign]
-    conj_rows(rows, signs, 0, gates, p.n)
-    return PauliString(p.n, rows[0] & ((1 << p.n) - 1), rows[0] >> p.n, signs[0])
+    n, full = p.n, (1 << p.n) - 1
+    rows = [_packed(p.x, p.z, p.sign, n)]
+    conj_rows(rows, 0, gates, n)
+    return PauliString(n, rows[0] & full, rows[0] >> n & full, -1 if rows[0] >> 2 * n else 1)
+
+
+def _packed(x, z, sign, n):
+    """The row ``conj_rows`` reads: x | z << n, bit 2n set for sign -1."""
+    return x | z << n | (sign < 0) << 2 * n
 
 
 def _roundtrip_ok(terms, result, tol=1e-9):
@@ -81,7 +87,7 @@ def test_commute_blocks_triangle():
 
 
 def test_commute_blocks_mixed_counts():
-    with pytest.raises(MixedQubitCounts):
+    with pytest.raises(LengthMismatch):
         convert_commute_sets([term("ZZ"), term("Z")])
 
 
@@ -188,7 +194,7 @@ def test_tree_singleton():
 
 
 def test_tree_empty_raises():
-    with pytest.raises(EmptyTree):
+    with pytest.raises(InvalidSize):
         tree_synthesis(_rows([], parse_pauli("Z")), 1, 1, [])
 
 
@@ -297,21 +303,18 @@ def _conj_raw(x, z, sign, gates):
 def test_rows_follow_the_reference_gate_by_gate(case, lo, drawn_signs):
     n, prefix, strings, _, _ = case
     start_signs = drawn_signs[: len(strings)]
-    rows = [x | z << n for x, z in strings]
-    signs = list(start_signs)
-    batch, batch_signs = list(rows), list(signs)
+    rows = [_packed(x, z, sign, n) for (x, z), sign in zip(strings, start_signs)]
+    batch = list(rows)
     for m, g in enumerate(prefix, 1):
-        conj_rows(rows, signs, lo, [g], n)
+        conj_rows(rows, lo, [g], n)
         for k, ((x, z), sign) in enumerate(zip(strings, start_signs)):
             if k >= lo:
-                gx, gz, gsign = _conj_raw(x, z, sign, prefix[:m])
-                assert rows[k] == gx | gz << n
-                assert signs[k] == gsign
+                assert rows[k] == _packed(*_conj_raw(x, z, sign, prefix[:m]), n)
             else:
-                assert (rows[k], signs[k]) == (x | z << n, sign)
+                assert rows[k] == _packed(x, z, sign, n)
     # one call with the whole gate list is the same as gate by gate
-    conj_rows(batch, batch_signs, lo, prefix, n)
-    assert (batch, batch_signs) == (rows, signs)
+    conj_rows(batch, lo, prefix, n)
+    assert batch == rows
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 100])
@@ -325,15 +328,14 @@ def test_conj_rows_match_conj_raw_on_wide_registers(n):
     strings = [(rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1))) for _ in range(20)]
     # X, Z and Y on the top qubit alone: the highest bit of each half
     strings += [(1 << (n - 1), 0, 1), (0, 1 << (n - 1), -1), (1 << (n - 1), 1 << (n - 1), 1)]
-    rows = [x | z << n for x, z, _ in strings]
-    signs = [sign for _, _, sign in strings]
+    rows = [_packed(x, z, sign, n) for x, z, sign in strings]
     for k in range(0, len(gates), 7):
         chunk = gates[k : k + 7]
-        conj_rows(rows, signs, 0, chunk, n)
+        conj_rows(rows, 0, chunk, n)
         for m, (x, z, sign) in enumerate(strings):
             x, z, sign = _conj_raw(x, z, sign, chunk)
             strings[m] = x, z, sign
-            assert (rows[m], signs[m]) == (x | z << n, sign)
+            assert rows[m] == _packed(x, z, sign, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,11 +345,12 @@ def test_score_candidates_matches_reference(case, lo, tail):
     # identity rows below lo or from hi on would win if they were scanned
     rows = [0] * lo + [x | z << n for x, z in strings]
     hi = len(rows)
-    conj_rows(rows, [1] * hi, lo, prefix, n)
+    # the scorer reads the rows after the current string's basis layer
+    layer = basis_change_gates(PauliString(n, px, pz))
+    conj_rows(rows, lo, prefix + layer, n)
     rows += [0] * tail
     expected = lo + _reference_choice(n, prefix, strings, px, pz)
-    layer = basis_change_gates(PauliString(n, px, pz))
-    assert _score_candidates(rows, lo, hi, px | pz, layer, n) == expected
+    assert _score_candidates(rows, lo, hi, px | pz, n) == expected
 
 
 # ----------------------------------------------------------- extraction

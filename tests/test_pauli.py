@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cliffex import PauliString, PauliTerm, parse_pauli
-from cliffex.errors import InvalidLetter, LengthMismatch
+from cliffex.errors import LengthMismatch, SchemaError
 
 from oracle import dense_pauli
 
@@ -26,7 +26,7 @@ def test_parse_sign_prefix():
 
 @pytest.mark.parametrize("bad", ["XQ", "", "+", "-", "xz", "X Z"])
 def test_parse_rejects(bad):
-    with pytest.raises(InvalidLetter):
+    with pytest.raises(SchemaError):
         parse_pauli(bad)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cliffex import absorb_probabilities, cnot_count, extract, gen_labs, gen_maxcut, load_terms, native_circuit
-from cliffex.errors import CliffexError, InfeasibleDegree, InvalidSize, LengthMismatch, SchemaError
+from cliffex.errors import CliffexError, InvalidSize, LengthMismatch, SchemaError
 from cliffex.problems import to_input_dict
 
 
@@ -60,11 +60,11 @@ def test_seeded_reproducibility():
 
 
 def test_infeasible_degree():
-    with pytest.raises(InfeasibleDegree):
+    with pytest.raises(InvalidSize):
         gen_maxcut(3, degree=3)
-    with pytest.raises(InfeasibleDegree):
+    with pytest.raises(InvalidSize):
         gen_maxcut(5, degree=3)
-    with pytest.raises(InfeasibleDegree):
+    with pytest.raises(InvalidSize):
         gen_maxcut(4, degree=4)
 
 

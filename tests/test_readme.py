@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 import cliffex
+import cliffex.errors
 from cliffex.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,6 +33,15 @@ def test_readme_export_table_is_cliffex_all():
     assert methods
     for name in methods:
         assert callable(getattr(cliffex.PauliString, name, None)), name
+
+
+def test_readme_errors_table_is_cliffex_errors():
+    block = README.read_text(encoding="utf-8").split("### Errors", 1)[1]
+    table = next(part for part in block.split("\n\n") if part.startswith("| Type |"))
+    rows = table.splitlines()[2:]  # skip the header and the rule
+    types = [re.search(r"`([^`]+)`", row.split("|")[1]).group(1) for row in rows]
+    defined = [name for name, v in vars(cliffex.errors).items() if isinstance(v, type)]
+    assert sorted(types) == sorted(defined + ["ValueError"])
 
 
 def test_readme_python_example_runs(capsys):

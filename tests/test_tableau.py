@@ -48,9 +48,10 @@ def _random_pauli(rng, n):
 
 def _conjugate(gates, p):
     """D p D† for the Clifford D of ``gates`` (time order), through ``conj_rows``."""
-    rows, signs = [p.x | p.z << p.n], [p.sign]
-    conj_rows(rows, signs, 0, gates, p.n)
-    return PauliString(p.n, rows[0] & ((1 << p.n) - 1), rows[0] >> p.n, signs[0])
+    n, full = p.n, (1 << p.n) - 1
+    rows = [p.x | p.z << n | (p.sign < 0) << 2 * n]
+    conj_rows(rows, 0, gates, n)
+    return PauliString(n, rows[0] & full, rows[0] >> n & full, -1 if rows[0] >> 2 * n else 1)
 
 
 def test_cnot_conjugation_examples():
