@@ -1021,6 +1021,26 @@ GOLDEN = {
         ],
         "metrics": "bc7164b89f0ff70dbce92b38cb1f88176a3ac76a9f5867fd84d4e1fd831d8905",
     },
+    # reorder-heavy: 115 and 119 candidate reorders pin the scorer's choices
+    "labs12": {
+        "opt": "6ddd9338ed335ecc6503b16314ae44e04eb7fa0b0b8326abcea6ed4e81f0b34a",
+        "clifford": "b2373fafcb5f07313e19d58ad4aa7a09205d8ac99e00a361e979b046d75503c2",
+        "executed": ["3007af20e2c1300481351b46d40b684591368e0c85ece80835abdadeccfa3bec"],
+        "metrics": "19ab84d9f6714f5996635f836ea6ab360d1554f2b69e7b8b3d0047c6713f8725",
+    },
+    "maxcut20r4": {
+        "opt": "559257dc354daca5fc2b9202bf09cb9b171787c768e3c702f1d80ff6083cec8a",
+        "clifford": "78ac05a08604ad11f1dcc57a49facc91b4f97f6631358066479651b61287def5",
+        "executed": ["cfb73e436a934da0cb6a29e02b6e14c07cde264a4045c59512bbf5f0557e4b5d"],
+        "metrics": "906c66f476c0586de14fbe62232c92397270926c709c1d086b2f9d3599989850",
+    },
+}
+
+# ``gen`` argv of the generated golden inputs
+GOLDEN_GEN = {
+    "labs8": ("labs", "--n", 8),
+    "labs12": ("labs", "--n", 12),
+    "maxcut20r4": ("maxcut", "--nodes", 20, "--degree", 4, "--layers", 3),
 }
 
 
@@ -1032,9 +1052,9 @@ def _sha(data: bytes) -> str:
 def test_golden_outputs(tmp_path, triangle_input, xyz_input, name):
     if name == "triangle":
         inp = triangle_input
-    elif name == "labs8":
-        inp = tmp_path / "labs8.json"
-        assert run("gen", "labs", "--n", 8, "--out", inp) == 0
+    elif name in GOLDEN_GEN:
+        inp = tmp_path / f"{name}.json"
+        assert run("gen", *GOLDEN_GEN[name], "--out", inp) == 0
     elif name == "multiblock":
         words = ["XXXZY", "IYZXX", "YIYYI", "YIYYY", "ZYXZZ", "XIYIY", "ZIZYZ"]
         coeffs = [0.31, -0.7, 0.2, -0.45, 0.6, 0.15, -0.25]
