@@ -25,6 +25,10 @@ from .pauli import PauliString
 from .tableau import conj_rows
 
 
+def _count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 @dataclass(frozen=True)
 class TransformedObservable:
     """An observable rewritten through the extracted Clifford.
@@ -45,18 +49,22 @@ class ProbabilityAbsorption:
     """One Hadamard layer plus a CNOT network equivalent to the extracted
     Clifford: executing [optimized circuit + H on h_mask] and pushing
     every measured bitstring through the network reproduces the original
-    distribution.  Raises ValueError unless every mask qubit and edge end
-    lies in [0, n) and each edge's two ends differ."""
+    distribution.  Raises ValueError unless n is a non-negative int, every
+    mask qubit and edge end is an int in [0, n) and each edge's two ends
+    differ."""
 
     n: int
     h_mask: frozenset[int]
     network: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not all(0 <= q < self.n for q in self.h_mask):
-            raise ValueError(f"h_mask is not a list of qubits in [0, {self.n})")
-        if not all(0 <= c < self.n and 0 <= t < self.n and c != t for c, t in self.network):
-            raise ValueError(f"network is not a list of pairs of distinct qubits in [0, {self.n})")
+        n = self.n
+        if not _count(n):
+            raise ValueError(f"n = {n!r} is not a non-negative int")
+        if not all(_count(q) and q < n for q in self.h_mask):
+            raise ValueError(f"h_mask is not a list of qubits in [0, {n})")
+        if not all(_count(c) and _count(t) and c < n and t < n and c != t for c, t in self.network):
+            raise ValueError(f"network is not a list of pairs of distinct qubits in [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,8 @@ class CountsHistogram:
     shots: int
 
     def __post_init__(self):
+        if not (_count(self.n) and _count(self.shots)):
+            raise SchemaError(f"n = {self.n!r} or shots = {self.shots!r} is not a non-negative integer")
         # bulk checks first; on any fault the per-item loop names the first
         counts, keys = self.counts.values(), self.counts.keys()
         if (

@@ -21,6 +21,7 @@ from .absorb import (
     CountsHistogram,
     ProbabilityAbsorption,
     TransformedObservable,
+    _count,
     absorb_observables,
     absorb_probabilities,
     map_expectations,
@@ -176,10 +177,6 @@ def cmd_optimize(args) -> int:
         f"mode {prob.mode}"
     )
     return OK
-
-
-def _count(v) -> bool:
-    return type(v) is int and v >= 0
 
 
 def _absorption(report) -> ProbabilityAbsorption:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import InvalidSize, LengthMismatch
 from .pauli import PauliString, PauliTerm, _letter_at, _support
-from .tableau import _conj_gate, conj_rows
+from .tableau import conj_rows
 
 _ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
@@ -158,24 +158,6 @@ def _synth_recursive(idxs, level, guidance, out) -> list[tuple[str | None, int]]
     return [(None, root)]
 
 
-def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
-    """Non-recursive tree over ``idxs`` guided by the one string (gx, gz):
-    each letter group is chained from the highest index down (group root
-    = lowest index), then the group roots are joined.  Returns the
-    (control, target) pairs in time order."""
-    groups = _split_groups(idxs, gx, gz)
-    out: list[tuple[int, int]] = []
-    roots: list[tuple[str | None, int]] = []
-    for cls in _GROUP_ORDER:
-        grp = groups[cls]
-        if grp:
-            for k in range(len(grp) - 1, 0, -1):
-                out.append((grp[k], grp[k - 1]))
-            roots.append((cls, grp[0]))
-    _connect_roots(roots, out)
-    return out
-
-
 def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Gate], int]:
     """Synthesize a CNOT parity tree over the qubits ``tree_idxs``, guided
     by the successor strings ``rows[lo:]`` (packed as x | z << n and
@@ -200,31 +182,43 @@ def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Ga
     return [cx(a, b) for a, b in out], root
 
 
+def _chain_weight(x: int, z: int, smask: int) -> int:
+    """Letters left on the support S = ``smask`` by the non-recursive tree
+    over S keyed on the string (x, z): each letter group chained from the
+    highest index down, then the group roots joined.  The chains erase
+    the pairs (control, target) XX -> XI, ZZ -> IZ, and YY -> XZ then
+    ZY -> IY, keeping every second X, one Z, and #Y // 2 X plus the Y
+    root.  Among the roots a Z is erased into the Y root (ZY -> IY, ZZ ->
+    IZ), a Y toggles the X root (YX -> YI, YI -> YX), and an I joined
+    into a lone Y root takes a Z (IY -> ZY, IZ -> ZZ)."""
+    x, z = x & smask, z & smask
+    a, b, has_z = (x & ~z).bit_count(), (x & z).bit_count(), z & ~x != 0
+    if a and b:  # the X root holds an X iff exactly one of a, b is odd
+        return (a + b + 1) // 2 + (not a & b & 1)
+    if a:  # a Z root joined into the X root stays
+        return (a + 1) // 2 + has_z
+    if b:
+        return b // 2 + 1 + (x | z != smask)
+    return int(has_z)
+
+
 def _score_candidates(rows: list[int], lo: int, hi: int, smask: int, n: int) -> int:
     """Index of the candidate row in ``rows[lo:hi]`` (conjugated through
     every gate emitted so far, the current string's basis layer included,
-    and packed as x | z << n) with the fewest non-identity letters after
-    simulating a non-recursive tree over the current support ``smask``
-    keyed on that candidate; ties go to the lowest index.  The tree acts
-    only on the support S, so the letters off S count as they are and the
-    weight left on S is simulated once per distinct pattern."""
-    supp = _support(smask)
+    and packed as x | z << n) with the fewest letters left after the
+    tree of ``_chain_weight`` keyed on it; ties go to the lowest index.
+    Letters off S = ``smask`` count as they are, and the weight on S is
+    computed once per distinct pattern."""
     full = (1 << n) - 1
     mask, off = smask | smask << n, full & ~smask
     memo: dict[int, int] = {}
     best_w, best_j = n + 1, -1
     for j, v in enumerate(rows[lo:hi], lo):
         key = v & mask
-        if key:
-            w = memo.get(key)
-            if w is None:
-                bx, bz = key & full, key >> n
-                for ct in _chain_tree(supp, bx, bz):
-                    bx, bz, _ = _conj_gate(bx, bz, "cx", ct)
-                w = memo[key] = (bx | bz).bit_count()
-            w += ((v | v >> n) & off).bit_count()
-        else:
-            w = ((v | v >> n) & full).bit_count()
+        w = memo.get(key)
+        if w is None:
+            w = memo[key] = _chain_weight(key & full, key >> n, smask)
+        w += ((v | v >> n) & off).bit_count()
         if w < best_w:
             best_w, best_j = w, j
     return best_j

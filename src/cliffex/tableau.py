@@ -6,10 +6,10 @@ H/S/SDG/CX rule (the row update of Aaronson & Gottesman, "Improved
 simulation of stabilizer circuits", 2004) exists once, in
 ``_conj_lanes``, written over lanes: ints whose bit k is row k's X or Z
 bit on one qubit, so one call updates every row at once (the column
-layout of Gidney, "Stim", 2021).  ``_conj_gate`` applies it to one
-string packed as ``x | z << n``; ``conj_rows`` applies that to a list of
-signed packed rows (the waiting strings that extraction keeps, and the
-observables that absorption rewrites); ``replay`` runs a whole circuit,
+layout of Gidney, "Stim", 2021).  ``conj_rows`` applies it one string
+at a time to a list of signed rows packed as ``x | z << n`` (the
+waiting strings that extraction keeps, and the observables that
+absorption rewrites); ``replay`` runs a whole circuit,
 RZ gates included, over one X and one Z column per qubit.
 """
 
@@ -28,15 +28,6 @@ def _conj_lanes(kind: str, xa: int, za: int, xb: int, zb: int) -> tuple[int, int
         return za, xa, xb, zb, xa & za
     # S: X -> Y, Y -> -X; SDG: X -> -Y, Y -> X
     return xa, za ^ xa, xb, zb, xa & za if kind == "s" else xa & ~za
-
-
-def _conj_gate(x: int, z: int, kind: str, qubits) -> tuple[int, int, int]:
-    """Image of the raw masks (x, z) under conjugation by one H, S, SDG
-    or CX gate, and 1 if the sign flips, else 0."""
-    a, b = qubits[0], qubits[-1]
-    xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
-    ya, wa, yb, wb, flip = _conj_lanes(kind, xa, za, xb, zb)
-    return x ^ (xa ^ ya) << a ^ (xb ^ yb) << b, z ^ (za ^ wa) << a ^ (zb ^ wb) << b, flip
 
 
 def conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
@@ -61,7 +52,11 @@ def conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
             if d is None:
                 x, z, flip = key & full, key >> n, 0
                 for g in gates:
-                    x, z, f = _conj_gate(x, z, g.kind, g.qubits)
+                    a, b = g.qubits[0], g.qubits[-1]
+                    xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
+                    ya, wa, yb, wb, f = _conj_lanes(g.kind, xa, za, xb, zb)
+                    x ^= (xa ^ ya) << a ^ (xb ^ yb) << b
+                    z ^= (za ^ wa) << a ^ (zb ^ wb) << b
                     flip ^= f
                 d = memo[key] = key ^ x ^ z << n ^ flip << 2 * n
             rows[k] = v ^ d

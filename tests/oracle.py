@@ -1,10 +1,13 @@
 """Dense-matrix reference implementation for small qubit counts, which
 the tests cross-check the package against.
 
-Everything here is deliberately independent of the extraction machinery
-so it can falsify it: rotation unitaries come straight from the matrix
-exponential identity exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits
-are evaluated gate by gate on dense states.
+Everything here but ``_chain_tree`` is deliberately independent of the
+extraction machinery so it can falsify it: rotation unitaries come
+straight from the matrix exponential identity
+exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits are evaluated gate by
+gate on dense states.  ``_chain_tree`` is the non-recursive tree that the
+candidate scorer's closed form counts the letters of; it groups and
+joins roots with the compiler's own rules.
 
 Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
@@ -20,6 +23,7 @@ import numpy as np
 
 from cliffex.circuit import Circuit
 from cliffex.errors import LengthMismatch
+from cliffex.extract import _GROUP_ORDER, _connect_roots, _split_groups
 from cliffex.pauli import PauliString
 
 DEFAULT_CAP = 10
@@ -31,6 +35,24 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
+    """Non-recursive tree over ``idxs`` guided by the one string (gx, gz):
+    each letter group is chained from the highest index down (group root
+    = lowest index), then the group roots are joined.  Returns the
+    (control, target) pairs in time order."""
+    groups = _split_groups(idxs, gx, gz)
+    out: list[tuple[int, int]] = []
+    roots: list[tuple[str | None, int]] = []
+    for cls in _GROUP_ORDER:
+        grp = groups[cls]
+        if grp:
+            for k in range(len(grp) - 1, 0, -1):
+                out.append((grp[k], grp[k - 1]))
+            roots.append((cls, grp[0]))
+    _connect_roots(roots, out)
+    return out
 
 
 def _check_cap(n: int) -> None:

@@ -379,6 +379,8 @@ def test_histogram_validation():
 
 def _reference_validation(n, counts, shots):
     # the per-item rules CountsHistogram is specified by, first fault first
+    if not all(type(v) is int and v >= 0 for v in (n, shots)):
+        raise SchemaError(f"n = {n!r} or shots = {shots!r} is not a non-negative integer")
     total = 0
     for bits, c in counts.items():
         if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:

@@ -21,11 +21,12 @@ from cliffex import (
     peephole,
     postprocess_counts,
 )
-from cliffex.extract import _chain_tree, basis_change_gates, tree_synthesis
+from cliffex.extract import basis_change_gates, tree_synthesis
 from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import conj_rows
 
 from oracle import (
+    _chain_tree,
     circuit_unitary,
     dense_pauli,
     equivalent_up_to_phase,

@@ -3,6 +3,7 @@ each public entry point raises only the exception types documented for
 it, compared by exact type (a plain ``ValueError`` is not a
 ``SchemaError``, nor the reverse)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,16 +67,25 @@ def _histogram(data):
                     st.integers(0, 11), st.binary(max_size=3), st.none(), st.tuples(st.integers(0, 1)))
     count = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(-1, 9), st.none(), st.text(max_size=1))
     counts = data.draw(st.dictionaries(key, count, max_size=4))
-    shots = data.draw(st.one_of(st.integers(-1, 30), st.floats(0, 30)))
-    _only({SchemaError}, CountsHistogram, n, counts, shots)
+    n = data.draw(st.sampled_from([n, n, n, -1, float(n), n == 1]))
+    shots = data.draw(st.one_of(st.integers(-1, 30), st.floats(0, 30), st.booleans()))
+    if _only({SchemaError}, CountsHistogram, n, counts, shots) is not None:
+        assert type(n) is int and type(shots) is int
+
+
+def test_counts_histogram_refuses_non_int_sizes():
+    for args in ((1, {"0": 3}, 3.0), (0, {}, False), (1.0, {"0": 1}, 1), (-1, {}, 0), (True, {"0": 1}, 1)):
+        with pytest.raises(SchemaError, match="is not a non-negative integer"):
+            CountsHistogram(*args)
 
 
 def _absorption_then_postprocess(data):
     n = data.draw(st.integers(0, 5))
-    qubit = st.integers(-2, n + 2)
+    qubit = st.one_of(st.integers(-2, n + 2), st.floats(-2, n + 2), st.booleans())
     mask = frozenset(data.draw(st.lists(qubit, max_size=3)))
     network = tuple(data.draw(st.lists(st.tuples(qubit, qubit), max_size=4)))
-    pa = _only({ValueError}, ProbabilityAbsorption, n, mask, network)
+    size = data.draw(st.sampled_from([n, n, n, float(n)]))
+    pa = _only({ValueError}, ProbabilityAbsorption, size, mask, network)
     if pa is None:
         return
     m = data.draw(st.sampled_from([n, n, 0, n + 1]))

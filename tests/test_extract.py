@@ -1,4 +1,5 @@
 import functools
+import importlib
 import random
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cliffex
 from cliffex import (
     Circuit,
     Gate,
@@ -22,11 +24,11 @@ from cliffex import (
     sdg,
 )
 from cliffex.errors import InvalidSize, LengthMismatch
-from cliffex.extract import _chain_tree, _score_candidates, basis_change_gates, tree_synthesis
+from cliffex.extract import _chain_weight, _score_candidates, basis_change_gates, tree_synthesis
 from cliffex.pauli import PauliString, PauliTerm, _support
 from cliffex.tableau import conj_rows
 
-from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
+from oracle import _chain_tree, circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 
 
 def term(text, coeff=0.5):
@@ -351,6 +353,59 @@ def test_score_candidates_matches_reference(case, lo, tail):
     rows += [0] * tail
     expected = lo + _reference_choice(n, prefix, strings, px, pz)
     assert _score_candidates(rows, lo, hi, px | pz, n) == expected
+
+
+def _chain_tree_weight(x, z, smask):
+    """Letters left on ``smask`` by conjugating (x, z) there through the
+    reference chain tree keyed on it, gate by gate."""
+    x, z = x & smask, z & smask
+    pairs = _chain_tree(_support(smask), x, z)
+    x, z, _ = _conj_raw(x, z, 1, [cx(c, t) for c, t in pairs])
+    return (x | z).bit_count()
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_chain_weight_matches_chain_tree_on_every_pattern(k):
+    # every X/Y/Z/I pattern on a k-qubit support, spread over 2k qubits
+    # with letters off it that must not count
+    smask = int("01" * k, 2)
+    spread = _support(smask)
+    off = ~smask & ((1 << 2 * k) - 1)
+    for v in range(4**k):
+        x = z = 0
+        for i, q in enumerate(spread):
+            x |= (v >> 2 * i & 1) << q
+            z |= (v >> 2 * i + 1 & 1) << q
+        assert _chain_weight(x | off, z | off & v, smask) == _chain_tree_weight(x, z, smask), (k, v)
+
+
+@pytest.mark.parametrize("n", [9, 17, 33, 63, 64])
+def test_chain_weight_matches_chain_tree_on_sparse_supports(n):
+    rng = random.Random(n)
+    for _ in range(400):
+        smask = 0
+        while not smask:
+            smask = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        x, z = rng.getrandbits(n), rng.getrandbits(n)
+        # thin out the letters too, so that some patterns lack X, Y or Z
+        for _ in range(rng.randrange(3)):
+            x &= rng.getrandbits(n) | rng.getrandbits(n)
+            z &= rng.getrandbits(n) | rng.getrandbits(n)
+        assert _chain_weight(x, z, smask) == _chain_tree_weight(x, z, smask), (n, x, z, smask)
+
+
+def test_extract_module_is_patched_through_importlib(monkeypatch):
+    # the package attribute is the function; the module of that name is
+    # reached through importlib, and patching it changes what the public
+    # function does
+    import cliffex.extract as shadowed
+
+    module = importlib.import_module("cliffex.extract")
+    assert shadowed is cliffex.extract and module.extract is cliffex.extract
+    terms = [term("ZZI", 0.3), term("IZZ", 0.2), term("ZIZ", 0.1), term("XXX", 0.4)]
+    assert cliffex.extract(terms).stats["emitted_order"] == (0, 1, 3, 2)
+    monkeypatch.setattr(module, "_score_candidates", lambda rows, lo, hi, smask, n: hi - 1)
+    assert cliffex.extract(terms).stats["emitted_order"] == (0, 3, 2, 1)
 
 
 # ----------------------------------------------------------- extraction
