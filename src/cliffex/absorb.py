@@ -22,7 +22,7 @@ from .circuit import Circuit, Gate, inverse
 from .errors import LengthMismatch, NotReducible, SchemaError
 from .extract import basis_change_gates
 from .pauli import PauliString
-from .tableau import conj_rows
+from .tableau import columns, conj_columns, strings
 
 
 def _count(v) -> bool:
@@ -111,14 +111,10 @@ def absorb_observables(
     for o in observables:
         if o.n != n:
             raise LengthMismatch(f"{o.n}-qubit observable vs {n}-qubit Clifford")
-    rows = [o.x | o.z << n | (o.sign < 0) << 2 * n for o in observables]
-    conj_rows(rows, 0, [inverse(g) for g in reversed(extracted.gates)], n)
-    full = (1 << n) - 1
-    out = []
-    for o, r in zip(observables, rows):
-        t = PauliString(n, r & full, r >> n & full, -1 if r >> 2 * n else 1)
-        out.append(TransformedObservable(o, t, tuple(basis_change_gates(t))))
-    return out
+    xs, zs, sign = columns(observables, n)
+    sign ^= conj_columns(xs, zs, [inverse(g) for g in reversed(extracted.gates)])
+    images = strings(xs, zs, sign, len(observables))
+    return [TransformedObservable(o, t, tuple(basis_change_gates(t))) for o, t in zip(observables, images)]
 
 
 def absorb_probabilities(extracted: Circuit) -> ProbabilityAbsorption:

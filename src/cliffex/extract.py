@@ -6,13 +6,17 @@ half is emitted into the executable circuit.  The mirrored right halves
 are never built: the Clifford gates emitted so far are the Clifford D
 that the rotations still to come are conjugated through, and the
 extracted circuit, D inverted, is read off them once, at the very end.
-Every kept string is one signed row in a single list kept in emission
-order: the rows start as the raw strings, and every gate emitted
-afterwards is applied to the rows still waiting (``tableau.conj_rows``).
-The current string and its sign are read from its row, scoring the
-candidates for the next position reads the rest of the block's rows,
-and a tree reads its guiding successors, in this block or later ones,
-from the rows after it.
+
+The kept strings wait in bit-sliced columns (``tableau.columns``): bit k
+of one X int and one Z int per qubit, and of one sign int, belongs to
+the k-th string in input order, so every emitted gate is one
+``tableau.conj_columns`` step over all waiting strings at once.  No row
+is ever moved: an ``alive`` mask holds the current block's unemitted
+strings.  The current string and its sign are read from its lane; all
+candidates for the next position are scored at once with bit-sliced
+counters; and a tree reads its guiding successors (the chosen candidate,
+then every waiting string in input order) lazily, only on its own
+qubits.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import InvalidSize, LengthMismatch
 from .pauli import PauliString, PauliTerm, _letter_at, _support
-from .tableau import conj_rows
+from .tableau import columns, conj_columns
 
 _ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
@@ -158,11 +162,12 @@ def _synth_recursive(idxs, level, guidance, out) -> list[tuple[str | None, int]]
     return [(None, root)]
 
 
-def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Gate], int]:
+def tree_synthesis(tree_idxs, guides) -> tuple[list[Gate], int]:
     """Synthesize a CNOT parity tree over the qubits ``tree_idxs``, guided
-    by the successor strings ``rows[lo:]`` (packed as x | z << n and
-    already conjugated through every gate before the tree).  Returns the
-    CNOT gates and the tree root.
+    by the successor strings ``guides``: (x, z) masks in successor order,
+    already conjugated through every gate before the tree and read only
+    on the tree qubits, drawn lazily as deeper levels need them.  Returns
+    the CNOT gates and the tree root.
 
     The gates form a spanning tree of exactly ``len(tree_idxs) - 1``
     CNOTs whose target-directed paths accumulate the parity of every
@@ -171,57 +176,93 @@ def tree_synthesis(rows: list[int], lo: int, n: int, tree_idxs) -> tuple[list[Ga
     idxs = sorted(set(tree_idxs))
     if not idxs:
         raise InvalidSize("tree synthesis needs at least one qubit")
-    full = (1 << n) - 1
+    pending, seen = iter(guides), []
 
     def guidance(level: int):
-        j = lo + level - 1
-        return (rows[j] & full, rows[j] >> n & full) if j < len(rows) else None
+        while len(seen) < level:
+            g = next(pending, None)
+            if g is None:
+                return None
+            seen.append(g)
+        return seen[level - 1]
 
     out: list[tuple[int, int]] = []
     root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
     return [cx(a, b) for a, b in out], root
 
 
-def _chain_weight(x: int, z: int, smask: int) -> int:
-    """Letters left on the support S = ``smask`` by the non-recursive tree
-    over S keyed on the string (x, z): each letter group chained from the
-    highest index down, then the group roots joined.  The chains erase
-    the pairs (control, target) XX -> XI, ZZ -> IZ, and YY -> XZ then
-    ZY -> IY, keeping every second X, one Z, and #Y // 2 X plus the Y
-    root.  Among the roots a Z is erased into the Y root (ZY -> IY, ZZ ->
-    IZ), a Y toggles the X root (YX -> YI, YI -> YX), and an I joined
-    into a lone Y root takes a Z (IY -> ZY, IZ -> ZZ)."""
-    x, z = x & smask, z & smask
-    a, b, has_z = (x & ~z).bit_count(), (x & z).bit_count(), z & ~x != 0
-    if a and b:  # the X root holds an X iff exactly one of a, b is odd
-        return (a + b + 1) // 2 + (not a & b & 1)
-    if a:  # a Z root joined into the X root stays
-        return (a + 1) // 2 + has_z
-    if b:
-        return b // 2 + 1 + (x | z != smask)
-    return int(has_z)
+def _add(counter: list[int], lanes: int, k: int = 0) -> None:
+    """Add 2**k in every lane of ``lanes`` to the bit-sliced ``counter``
+    (one int per binary digit, least significant first, bit j of each
+    belonging to lane j)."""
+    while lanes:
+        if k >= len(counter):
+            counter += [0] * (k + 1 - len(counter))
+        counter[k], lanes = counter[k] ^ lanes, counter[k] & lanes
+        k += 1
 
 
-def _score_candidates(rows: list[int], lo: int, hi: int, smask: int, n: int) -> int:
-    """Index of the candidate row in ``rows[lo:hi]`` (conjugated through
-    every gate emitted so far, the current string's basis layer included,
-    and packed as x | z << n) with the fewest letters left after the
-    tree of ``_chain_weight`` keyed on it; ties go to the lowest index.
-    Letters off S = ``smask`` count as they are, and the weight on S is
-    computed once per distinct pattern."""
-    full = (1 << n) - 1
-    mask, off = smask | smask << n, full & ~smask
-    memo: dict[int, int] = {}
-    best_w, best_j = n + 1, -1
-    for j, v in enumerate(rows[lo:hi], lo):
-        key = v & mask
-        w = memo.get(key)
-        if w is None:
-            w = memo[key] = _chain_weight(key & full, key >> n, smask)
-        w += ((v | v >> n) & off).bit_count()
-        if w < best_w:
-            best_w, best_j = w, j
-    return best_j
+def _chain_weight(xs: list[int], zs: list[int], cand: int, smask: int) -> list[int]:
+    """Bit-sliced count, in each lane of ``cand`` of the columns
+    ``xs``/``zs``, of the letters left on the support S = ``smask`` by the
+    non-recursive tree over S keyed on that lane's string: each letter
+    group chained from the highest index down, then the group roots
+    joined.  The chains erase the pairs (control, target) XX -> XI,
+    ZZ -> IZ, and YY -> XZ then ZY -> IY, keeping every second X, one Z,
+    and #Y // 2 X plus the Y root.  Among the roots a Z is erased into
+    the Y root (ZY -> IY, ZZ -> IZ), a Y toggles the X root (YX -> YI,
+    YI -> YX), and an I joined into a lone Y root takes a Z (IY -> ZY,
+    IZ -> ZZ).  So with a X and b Y letters on S the weight is
+    (a + b + 1) // 2 plus: 1 - [a, b both odd] when a, b > 0, [any Z]
+    when b = 0, and 1 + [any I] - [b odd] when a = 0 < b."""
+    xy: list[int] = []  # a + b
+    has_x = has_y = odd_y = has_z = has_i = 0
+    for q in _support(smask):
+        x, z = xs[q] & cand, zs[q] & cand
+        y = x & z
+        has_x, has_y, odd_y = has_x | x ^ y, has_y | y, odd_y ^ y
+        has_z, has_i = has_z | z ^ y, has_i | cand & ~(x | z)
+        _add(xy, x)
+    odd = xy[0] if xy else 0  # lanes where a + b is odd
+    _add(xy, cand)
+    w = xy[1:]
+    y_only = has_y & ~has_x
+    _add(w, has_x & has_y & ~(odd_y & ~odd) | y_only & ~(odd_y ^ has_i) | has_z & ~has_y)
+    _add(w, y_only & has_i & ~odd_y, 1)
+    return w
+
+
+def _score_candidates(xs: list[int], zs: list[int], cand: int, smask: int) -> int:
+    """Lane of the candidate in ``cand`` (a row of the columns, conjugated
+    through every gate emitted so far, the current string's basis layer
+    included) with the fewest letters left after the tree of
+    ``_chain_weight`` keyed on it; ties go to the lowest lane.  Letters
+    off S = ``smask`` count as they are.  All candidates are scored at
+    once, and the minimum is found top digit first."""
+    w = _chain_weight(xs, zs, cand, smask)
+    for q in _support((1 << len(xs)) - 1 & ~smask):
+        _add(w, xs[q] & cand | zs[q] & cand)
+    for digit in reversed(w):
+        low = cand & ~digit
+        if low:
+            cand = low
+    return (cand & -cand).bit_length() - 1
+
+
+def _read(cols: list[int], k: int, qubits) -> int:
+    """Row k's mask of the column ints ``cols`` on ``qubits``."""
+    bit = 1 << k
+    return sum(1 << q for q in qubits if cols[q] & bit)
+
+
+def _lanes(first: int | None, rest: int):
+    """``first`` unless None, then every set bit of ``rest`` upward."""
+    if first is not None:
+        yield first
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield low.bit_length() - 1
 
 
 def extract(terms) -> ExtractionResult:
@@ -236,8 +277,7 @@ def extract(terms) -> ExtractionResult:
     if not terms:
         raise ValueError("cannot extract from an empty term list")
     n = terms[0].pauli.n
-    # (input index, term) of every non-identity term, in emission order
-    # once the loop below has reached it
+    # (input index, term) of every non-identity term, in input order
     order: list[tuple[int, PauliTerm]] = []
     for k, t in enumerate(terms):
         if t.pauli.n != n:
@@ -252,35 +292,48 @@ def extract(terms) -> ExtractionResult:
 
     gates: list[Gate] = []
     weights: list[int] = []
+    emitted: list[int] = []
     reorders = 0
     blocks = convert_commute_sets([t for _, t in order]) if order else []
 
-    # rows[k] is order[k]'s signed string conjugated through every gate
-    # emitted so far, packed as x | z << n | (sign < 0) << 2n; rows[:i + 1]
-    # are no longer updated
-    rows = [t.pauli.x | t.pauli.z << n | (t.pauli.sign < 0) << 2 * n for _, t in order]
-    full = (1 << n) - 1
-    hi = 0
+    # lane k of the columns is order[base + k]'s signed string conjugated
+    # through every gate emitted so far; a finished block's lanes are
+    # shifted out, so the current block starts at lane 0
+    xs, zs, sign = columns([t.pauli for _, t in order], n)
+    base = 0
     for block in blocks:
-        hi += len(block)
-        for i in range(hi - len(block), hi):
-            px, pz = rows[i] & full, rows[i] >> n & full
+        size = len(block)
+        later = (1 << len(order) - base) - (1 << size)
+        alive, cur = (1 << size) - 1, 0
+        while alive:
+            alive ^= 1 << cur
+            px, pz, neg = _read(xs, cur, range(n)), _read(zs, cur, range(n)), sign >> cur & 1
             layer = basis_change_gates(PauliString(n, px, pz))
-            conj_rows(rows, i + 1, layer, n)
-            if i + 1 < hi:
-                j = _score_candidates(rows, i + 1, hi, px | pz, n)
-                if j != i + 1:
-                    for lst in (order, rows):
-                        lst.insert(i + 1, lst.pop(j))
-                    reorders += 1
+            sign ^= conj_columns(xs, zs, layer)
+            nxt, rest = None, later
+            if alive:
+                nxt = _score_candidates(xs, zs, alive, px | pz)
+                reorders += alive & -alive != 1 << nxt
+                rest |= alive ^ 1 << nxt
             supp = _support(px | pz)
-            tree, root = tree_synthesis(rows, i + 1, n, supp)
-            conj_rows(rows, i + 1, tree, n)
+            # a string with one letter on all of S splits no group of the
+            # tree and is skipped, so only the others are read
+            mixed = 0
+            for q in supp:
+                mixed |= xs[q] ^ xs[supp[0]] | zs[q] ^ zs[supp[0]]
+            first = nxt if alive and mixed >> nxt & 1 else None
+            guides = ((_read(xs, k, supp), _read(zs, k, supp)) for k in _lanes(first, rest & mixed))
+            tree, root = tree_synthesis(supp, guides)
+            sign ^= conj_columns(xs, zs, tree)
             gates += layer
             gates += tree
-            sign = -1 if rows[i] >> 2 * n else 1
-            gates.append(rz(root, -2.0 * order[i][1].coeff * sign))
+            k, t = order[base + cur]
+            gates.append(rz(root, -2.0 * t.coeff * (-1 if neg else 1)))
             weights.append(len(supp))
+            emitted.append(k)
+            cur = nxt
+        xs, zs, sign = [c >> size for c in xs], [c >> size for c in zs], sign >> size
+        base += size
 
     stats = {
         "rotations": len(order),
@@ -288,7 +341,7 @@ def extract(terms) -> ExtractionResult:
         "block_sizes": tuple(len(b) for b in blocks),
         "reorders": reorders,
         "skipped_identity_terms": len(terms) - len(order),
-        "emitted_order": tuple(k for k, _ in order),
+        "emitted_order": tuple(emitted),
         "weights": tuple(weights),
     }
     extracted = tuple(inverse(g) for g in reversed(gates) if g.kind != "rz")

@@ -1,21 +1,20 @@
 """Heisenberg-picture conjugation of Pauli strings through Clifford
-circuits.
+circuits, over bit-sliced columns.
 
-Conjugating a string P by a gate g in time order maps P to g P g†.  The
-H/S/SDG/CX rule (the row update of Aaronson & Gottesman, "Improved
-simulation of stabilizer circuits", 2004) exists once, in
-``_conj_lanes``, written over lanes: ints whose bit k is row k's X or Z
-bit on one qubit, so one call updates every row at once (the column
-layout of Gidney, "Stim", 2021).  ``conj_rows`` applies it one string
-at a time to a list of signed rows packed as ``x | z << n`` (the
-waiting strings that extraction keeps, and the observables that
-absorption rewrites); ``replay`` runs a whole circuit,
-RZ gates included, over one X and one Z column per qubit.
+Conjugating a string P by a gate g in time order maps P to g P g†.  A
+list of signed strings is held as columns (Gidney, "Stim", 2021): one X
+int and one Z int per qubit and one sign int, whose bit k belongs to
+row k (``columns`` and ``strings`` convert).  The H/S/SDG/CX rule (the
+row update of Aaronson & Gottesman, "Improved simulation of stabilizer
+circuits", 2004) exists once, in ``_conj_lanes``; ``conj_columns``, the
+one driver, makes each gate one call over every row.  Extraction's
+waiting rows, absorbed observables and ``replay``'s circuits all go
+through it.
 """
 
 from __future__ import annotations
 
-from .pauli import PauliString
+from .pauli import PauliString, _support
 
 
 def _conj_lanes(kind: str, xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int, int, int]:
@@ -30,45 +29,51 @@ def _conj_lanes(kind: str, xa: int, za: int, xb: int, zb: int) -> tuple[int, int
     return xa, za ^ xa, xb, zb, xa & za if kind == "s" else xa & ~za
 
 
-def conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
-    """Conjugate ``rows[lo:]`` (signed strings packed as x | z << n, with
-    bit 2n set when the sign is -1, as in a stabilizer tableau) in place
-    by ``gates`` appended in time order.  The gates touch only their own
-    qubits, so a row's pattern on those qubits is simulated once per
-    distinct pattern and the rest of the row is kept."""
-    mask = 0
+def conj_columns(xs: list[int], zs: list[int], gates) -> int:
+    """Conjugate the rows held in the columns ``xs``/``zs`` in place by
+    ``gates`` (H, S, SDG and CX) appended in time order; returns the lane
+    of rows whose sign flips."""
+    flips = 0
     for g in gates:
-        for q in g.qubits:
-            mask |= 1 << q
-    if not mask:
-        return
-    mask |= mask << n
-    full = (1 << n) - 1
-    memo: dict[int, int] = {}  # pattern -> pattern ^ image ^ flip << 2n
-    for k, v in enumerate(rows[lo:], lo):
-        key = v & mask
-        if key:
-            d = memo.get(key)
-            if d is None:
-                x, z, flip = key & full, key >> n, 0
-                for g in gates:
-                    a, b = g.qubits[0], g.qubits[-1]
-                    xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
-                    ya, wa, yb, wb, f = _conj_lanes(g.kind, xa, za, xb, zb)
-                    x ^= (xa ^ ya) << a ^ (xb ^ yb) << b
-                    z ^= (za ^ wa) << a ^ (zb ^ wb) << b
-                    flip ^= f
-                d = memo[key] = key ^ x ^ z << n ^ flip << 2 * n
-            rows[k] = v ^ d
+        a, b = g.qubits[0], g.qubits[-1]
+        xs[a], zs[a], xb, zb, flip = _conj_lanes(g.kind, xs[a], zs[a], xs[b], zs[b])
+        if b != a:
+            xs[b], zs[b] = xb, zb
+        flips ^= flip
+    return flips
+
+
+def columns(paulis, n: int) -> tuple[list[int], list[int], int]:
+    """The columns and the sign int of ``paulis``, row k holding paulis[k]."""
+    xs, zs, sign = [0] * n, [0] * n, 0
+    for k, p in enumerate(paulis):
+        for q in _support(p.x):
+            xs[q] |= 1 << k
+        for q in _support(p.z):
+            zs[q] |= 1 << k
+        sign |= (p.sign < 0) << k
+    return xs, zs, sign
+
+
+def strings(xs: list[int], zs: list[int], sign: int, count: int) -> list[PauliString]:
+    """Rows 0..count-1 of the columns as signed strings."""
+    n = len(xs)
+    # transpose: row k's x (z) mask collects bit k of every X (Z) column
+    xrows, zrows = [0] * count, [0] * count
+    for q in range(n):
+        for col, out in ((xs[q], xrows), (zs[q], zrows)):
+            bits = format(col, "b")[::-1]
+            k = bits.find("1")
+            while k >= 0:
+                out[k] |= 1 << q
+                k = bits.find("1", k + 1)
+    return [PauliString(n, x, z, -1 if sign >> k & 1 else 1) for k, (x, z) in enumerate(zip(xrows, zrows))]
 
 
 def replay(gates, n: int) -> tuple[list[PauliString], list[tuple[PauliString, float]]]:
-    """Run ``gates`` (H, S, SDG, CX and RZ, in time order) over bit-sliced
-    columns: one X int and one Z int per qubit and one sign int, whose
-    bit k belongs to row k.  Rows 0..2n-1 start as X_0..X_{n-1},
-    Z_0..Z_{n-1}; every RZ on q adds a row Z_q, so every gate after it
-    conjugates it too, and each Clifford gate is one ``_conj_lanes``
-    call.
+    """Run ``gates`` (H, S, SDG, CX and RZ, in time order) over columns.
+    Rows 0..2n-1 start as X_0..X_{n-1}, Z_0..Z_{n-1}; every RZ on q adds
+    a row Z_q, so every gate after it conjugates it too.
 
     Returns the images D X_q D† and D Z_q D† of the circuit's Clifford
     gates D, in that order, and every RZ as its row's signed string P
@@ -80,26 +85,10 @@ def replay(gates, n: int) -> tuple[list[PauliString], list[tuple[PauliString, fl
     sign = 0
     angles: list[float] = []
     for g in gates:
-        a = g.qubits[0]
         if g.kind == "rz":
-            zs[a] |= 1 << 2 * n + len(angles)
+            zs[g.qubits[0]] |= 1 << 2 * n + len(angles)
             angles.append(g.theta)
-            continue
-        if g.kind == "cx":
-            b = g.qubits[1]
-            xs[a], zs[a], xs[b], zs[b], flip = _conj_lanes("cx", xs[a], zs[a], xs[b], zs[b])
         else:
-            xs[a], zs[a], _, _, flip = _conj_lanes(g.kind, xs[a], zs[a], 0, 0)
-        sign ^= flip
-    # transpose: row k's x (z) mask collects bit k of every X (Z) column
-    count = 2 * n + len(angles)
-    xrows, zrows = [0] * count, [0] * count
-    for q in range(n):
-        for col, out in ((xs[q], xrows), (zs[q], zrows)):
-            bits = format(col, "b")[::-1]
-            k = bits.find("1")
-            while k >= 0:
-                out[k] |= 1 << q
-                k = bits.find("1", k + 1)
-    rows = [PauliString(n, x, z, -1 if sign >> k & 1 else 1) for k, (x, z) in enumerate(zip(xrows, zrows))]
+            sign ^= conj_columns(xs, zs, (g,))
+    rows = strings(xs, zs, sign, 2 * n + len(angles))
     return rows[: 2 * n], list(zip(rows[2 * n :], angles))

@@ -1,13 +1,15 @@
 """Dense-matrix reference implementation for small qubit counts, which
 the tests cross-check the package against.
 
-Everything here but ``_chain_tree`` is deliberately independent of the
-extraction machinery so it can falsify it: rotation unitaries come
-straight from the matrix exponential identity
-exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits are evaluated gate by
-gate on dense states.  ``_chain_tree`` is the non-recursive tree that the
-candidate scorer's closed form counts the letters of; it groups and
-joins roots with the compiler's own rules.
+Everything here but ``_chain_tree`` and ``reference_extract`` is
+deliberately independent of the extraction machinery so it can falsify
+it: rotation unitaries come straight from the matrix exponential
+identity exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits are evaluated
+gate by gate on dense states.  ``_chain_tree`` is the non-recursive tree
+that the candidate scorer's closed form counts the letters of; it groups
+and joins roots with the compiler's own rules.  ``reference_extract`` is
+extraction written one packed row at a time, which ``extract``'s
+bit-sliced columns must reproduce exactly.
 
 Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
@@ -21,10 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from cliffex.circuit import Circuit
+from cliffex.circuit import Circuit, cx, inverse, rz
 from cliffex.errors import LengthMismatch
-from cliffex.extract import _GROUP_ORDER, _connect_roots, _split_groups
-from cliffex.pauli import PauliString
+from cliffex.extract import (
+    _GROUP_ORDER,
+    _connect_roots,
+    _split_groups,
+    basis_change_gates,
+    convert_commute_sets,
+    tree_synthesis,
+)
+from cliffex.pauli import PauliString, _support
+from cliffex.tableau import _conj_lanes
 
 DEFAULT_CAP = 10
 
@@ -53,6 +63,106 @@ def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
             roots.append((cls, grp[0]))
     _connect_roots(roots, out)
     return out
+
+
+def _conj_rows(rows: list[int], lo: int, gates, n: int) -> None:
+    """Conjugate ``rows[lo:]`` (signed strings packed as x | z << n, with
+    bit 2n set when the sign is -1) in place by ``gates`` appended in time
+    order, one row at a time.  A row's pattern on the gates' qubits is
+    simulated once per distinct pattern and the rest of the row is kept."""
+    mask = 0
+    for g in gates:
+        for q in g.qubits:
+            mask |= 1 << q
+    mask |= mask << n
+    full = (1 << n) - 1
+    memo: dict[int, int] = {}  # pattern -> pattern ^ image ^ flip << 2n
+    for k, v in enumerate(rows[lo:], lo):
+        key = v & mask
+        d = memo.get(key)
+        if d is None:
+            x, z, flip = key & full, key >> n, 0
+            for g in gates:
+                a, b = g.qubits[0], g.qubits[-1]
+                xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
+                ya, wa, yb, wb, f = _conj_lanes(g.kind, xa, za, xb, zb)
+                x ^= (xa ^ ya) << a ^ (xb ^ yb) << b
+                z ^= (za ^ wa) << a ^ (zb ^ wb) << b
+                flip ^= f
+            d = memo[key] = key ^ x ^ z << n ^ flip << 2 * n
+        rows[k] = v ^ d
+
+
+def _chain_tree_weight(x: int, z: int, smask: int, n: int) -> int:
+    """Letters left on ``smask`` by conjugating (x, z) there through the
+    chain tree keyed on it, gate by gate."""
+    rows = [x & smask | (z & smask) << n]
+    _conj_rows(rows, 0, [cx(c, t) for c, t in _chain_tree(_support(smask), x, z)], n)
+    r = rows[0]
+    return ((r | r >> n) & ((1 << n) - 1)).bit_count()
+
+
+def _reference_choice(rows: list[int], lo: int, hi: int, smask: int, n: int) -> int:
+    """Index of the row in ``rows[lo:hi]`` with the fewest letters left
+    after the chain tree keyed on it (letters off ``smask`` count as they
+    are); ties go to the lowest index."""
+    full = (1 << n) - 1
+    mask, off = smask | smask << n, full & ~smask
+    memo: dict[int, int] = {}
+    best_w, best_j = n + 1, -1
+    for j, v in enumerate(rows[lo:hi], lo):
+        key = v & mask
+        w = memo.get(key)
+        if w is None:
+            w = memo[key] = _chain_tree_weight(key & full, key >> n, smask, n)
+        w += ((v | v >> n) & off).bit_count()
+        if w < best_w:
+            best_w, best_j = w, j
+    return best_j
+
+
+def reference_extract(terms) -> tuple[Circuit, Circuit, dict]:
+    """``extract``'s (opt_circuit, extracted, stats), computed over one
+    list of packed rows (x | z << n | (sign < 0) << 2n) kept in emission
+    order: the chosen candidate is moved next to the current string, and
+    every emitted gate is applied to each waiting row in turn."""
+    terms = list(terms)
+    n = terms[0].pauli.n
+    order = [(k, t) for k, t in enumerate(terms) if t.pauli.x | t.pauli.z]
+    gates, weights, reorders = [], [], 0
+    blocks = convert_commute_sets([t for _, t in order]) if order else []
+    rows = [t.pauli.x | t.pauli.z << n | (t.pauli.sign < 0) << 2 * n for _, t in order]
+    full = (1 << n) - 1
+    hi = 0
+    for block in blocks:
+        hi += len(block)
+        for i in range(hi - len(block), hi):
+            px, pz = rows[i] & full, rows[i] >> n & full
+            layer = basis_change_gates(PauliString(n, px, pz))
+            _conj_rows(rows, i + 1, layer, n)
+            if i + 1 < hi:
+                j = _reference_choice(rows, i + 1, hi, px | pz, n)
+                if j != i + 1:
+                    for lst in (order, rows):
+                        lst.insert(i + 1, lst.pop(j))
+                    reorders += 1
+            supp = _support(px | pz)
+            tree, root = tree_synthesis(supp, [(r & full, r >> n & full) for r in rows[i + 1 :]])
+            _conj_rows(rows, i + 1, tree, n)
+            gates += layer + tree
+            gates.append(rz(root, -2.0 * order[i][1].coeff * (-1 if rows[i] >> 2 * n else 1)))
+            weights.append(len(supp))
+    stats = {
+        "rotations": len(order),
+        "blocks": len(blocks),
+        "block_sizes": tuple(len(b) for b in blocks),
+        "reorders": reorders,
+        "skipped_identity_terms": len(terms) - len(order),
+        "emitted_order": tuple(k for k, _ in order),
+        "weights": tuple(weights),
+    }
+    extracted = tuple(inverse(g) for g in reversed(gates) if g.kind != "rz")
+    return Circuit(n, tuple(gates)), Circuit(n, extracted), stats
 
 
 def _check_cap(n: int) -> None:

@@ -22,7 +22,7 @@ from cliffex import (
 from cliffex.absorb import ProbabilityAbsorption
 from cliffex.errors import LengthMismatch, NotReducible, SchemaError
 from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import conj_rows
+from cliffex.tableau import columns, conj_columns, strings
 
 from oracle import (
     circuit_unitary,
@@ -104,9 +104,10 @@ def test_basis_layer_rotates_transformed_to_z():
         word = "".join(rng.choice(list("IXYZ"), size=n))
         rec = absorb_observables(Circuit(n), [parse_pauli(word)])[0]
         t = rec.transformed
-        rows = [t.x | t.z << n]
-        conj_rows(rows, 0, rec.basis_layer, n)
-        assert rows[0] == (t.x | t.z) << n  # +Z on the support, nothing else
+        xs, zs, sign = columns([PauliString(n, t.x, t.z)], n)
+        sign ^= conj_columns(xs, zs, rec.basis_layer)
+        # +Z on the support, nothing else
+        assert strings(xs, zs, sign, 1)[0] == PauliString(n, 0, t.x | t.z)
 
 
 def test_two_rotation_pipeline_observable():

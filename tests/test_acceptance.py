@@ -22,8 +22,8 @@ from cliffex import (
     postprocess_counts,
 )
 from cliffex.extract import basis_change_gates, tree_synthesis
-from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import conj_rows
+from cliffex.pauli import PauliTerm
+from cliffex.tableau import columns, conj_columns, strings
 
 from oracle import (
     _chain_tree,
@@ -62,10 +62,9 @@ def terms_of(words, coeffs):
 
 def conjugate(gates, p):
     """D p D† for the Clifford D of ``gates`` (time order)."""
-    n, full = p.n, (1 << p.n) - 1
-    rows = [p.x | p.z << n | (p.sign < 0) << 2 * n]
-    conj_rows(rows, 0, gates, n)
-    return PauliString(n, rows[0] & full, rows[0] >> n & full, -1 if rows[0] >> 2 * n else 1)
+    xs, zs, sign = columns([p], p.n)
+    sign ^= conj_columns(xs, zs, gates)
+    return strings(xs, zs, sign, 1)[0]
 
 
 def test_two_rotation_pipeline_with_observable():
@@ -105,7 +104,7 @@ def test_guided_tree_fixture_strings():
     gates_nr = [cx(c, t) for c, t in _chain_tree(list(range(7)), p2p.x, p2p.z)]
     ok = ok and conjugate(layer + gates_nr, p2).letters() == "IIIIXYX"
 
-    gates_r, _ = tree_synthesis([p.x | p.z << 7 for p in (p2p, p3p)], 0, 7, range(7))
+    gates_r, _ = tree_synthesis(range(7), [(p.x, p.z) for p in (p2p, p3p)])
     ok = ok and conjugate(layer + gates_r, p3).letters() == "IIXXIYX"
     report("guided-tree fixture strings (exact)", ok, signs)
 

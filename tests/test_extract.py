@@ -26,9 +26,16 @@ from cliffex import (
 from cliffex.errors import InvalidSize, LengthMismatch
 from cliffex.extract import _chain_weight, _score_candidates, basis_change_gates, tree_synthesis
 from cliffex.pauli import PauliString, PauliTerm, _support
-from cliffex.tableau import conj_rows
+from cliffex.tableau import columns, conj_columns, strings as column_strings
 
-from oracle import _chain_tree, circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
+from oracle import (
+    _chain_tree,
+    circuit_unitary,
+    dense_pauli,
+    equivalent_up_to_phase,
+    reference_extract,
+    rotation_unitary,
+)
 
 
 def term(text, coeff=0.5):
@@ -54,16 +61,10 @@ def _rotation_product(terms, n):
 
 
 def _conjugate(gates, p):
-    """D p D† for the Clifford D of ``gates`` (time order), through ``conj_rows``."""
-    n, full = p.n, (1 << p.n) - 1
-    rows = [_packed(p.x, p.z, p.sign, n)]
-    conj_rows(rows, 0, gates, n)
-    return PauliString(n, rows[0] & full, rows[0] >> n & full, -1 if rows[0] >> 2 * n else 1)
-
-
-def _packed(x, z, sign, n):
-    """The row ``conj_rows`` reads: x | z << n, bit 2n set for sign -1."""
-    return x | z << n | (sign < 0) << 2 * n
+    """D p D† for the Clifford D of ``gates`` (time order), through ``conj_columns``."""
+    xs, zs, sign = columns([p], p.n)
+    sign ^= conj_columns(xs, zs, gates)
+    return column_strings(xs, zs, sign, 1)[0]
 
 
 def _roundtrip_ok(terms, result, tol=1e-9):
@@ -131,10 +132,10 @@ def test_basis_extraction_strings(seven_qubit_setup):
 
 
 def _rows(gates, *paulis):
-    """``paulis`` conjugated through ``gates``, packed as x | z << n: the
-    rows ``tree_synthesis`` reads its guidance from."""
+    """``paulis`` conjugated through ``gates``, as the (x, z) masks that
+    ``tree_synthesis`` reads its guidance from."""
     images = [_conjugate(gates, p) for p in paulis]
-    return [p.x | p.z << p.n for p in images]
+    return [(p.x, p.z) for p in images]
 
 
 def _chain_gates(idxs, guide, gates):
@@ -159,7 +160,7 @@ def test_nonrecursive_tree(seven_qubit_setup):
 
 def test_recursive_tree(seven_qubit_setup):
     p1, p2, p3, layer = seven_qubit_setup
-    gates, root = tree_synthesis(_rows(layer, p2, p3), 0, 7, range(7))
+    gates, root = tree_synthesis(range(7), _rows(layer, p2, p3))
     assert len(gates) == 6
     assert _conjugate(layer + gates, p2).letters() == "IIIIXYX"
     assert _conjugate(layer + gates, p3).letters() == "IIXXIYX"
@@ -171,7 +172,7 @@ def test_tree_is_spanning(seven_qubit_setup):
     p1, p2, p3, layer = seven_qubit_setup
     for gates, root in (
         _chain_gates(range(7), p2, layer),
-        tree_synthesis(_rows(layer, p1, p2, p3), 1, 7, range(7)),
+        tree_synthesis(range(7), _rows(layer, p1, p2, p3)[1:]),
     ):
         assert len(gates) == 6
         # every qubit appears as a control exactly once except the root,
@@ -191,13 +192,13 @@ def test_tree_is_spanning(seven_qubit_setup):
 
 
 def test_tree_singleton():
-    gates, root = tree_synthesis(_rows([], parse_pauli("IIIIIZ")), 1, 6, [5])
+    gates, root = tree_synthesis([5], _rows([], parse_pauli("IIIIIZ"))[1:])
     assert gates == [] and root == 5
 
 
 def test_tree_empty_raises():
     with pytest.raises(InvalidSize):
-        tree_synthesis(_rows([], parse_pauli("Z")), 1, 1, [])
+        tree_synthesis([], _rows([], parse_pauli("Z"))[1:])
 
 
 # ------------------------------------------------------- candidate choice
@@ -300,59 +301,106 @@ def _conj_raw(x, z, sign, gates):
     return x, z, sign
 
 
+def _packed(x, z, sign, n):
+    """Row (x, z, sign) as one int: x | z << n, bit 2n set for sign -1."""
+    return x | z << n | (sign < 0) << 2 * n
+
+
+def _lanes_packed(xs, zs, sign, count, n):
+    """Rows 0..count-1 of the columns, each packed by ``_packed``."""
+    return [_packed(p.x, p.z, p.sign, n) for p in column_strings(xs, zs, sign, count)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_scoring_case(), st.integers(0, 3), st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8))
 def test_rows_follow_the_reference_gate_by_gate(case, lo, drawn_signs):
+    # the strings sit in lanes lo and up; the identity lanes below them
+    # must stay identity with sign +1
     n, prefix, strings, _, _ = case
     start_signs = drawn_signs[: len(strings)]
-    rows = [_packed(x, z, sign, n) for (x, z), sign in zip(strings, start_signs)]
-    batch = list(rows)
+    paulis = [PauliString(n)] * lo + [PauliString(n, x, z, sign) for (x, z), sign in zip(strings, start_signs)]
+    xs, zs, sign = columns(paulis, n)
+    batch = list(xs), list(zs), sign
     for m, g in enumerate(prefix, 1):
-        conj_rows(rows, lo, [g], n)
-        for k, ((x, z), sign) in enumerate(zip(strings, start_signs)):
-            if k >= lo:
-                assert rows[k] == _packed(*_conj_raw(x, z, sign, prefix[:m]), n)
-            else:
-                assert rows[k] == _packed(x, z, sign, n)
+        sign ^= conj_columns(xs, zs, [g])
+        rows = _lanes_packed(xs, zs, sign, len(paulis), n)
+        assert rows[:lo] == [0] * lo
+        for k, ((x, z), s0) in enumerate(zip(strings, start_signs)):
+            assert rows[lo + k] == _packed(*_conj_raw(x, z, s0, prefix[:m]), n)
     # one call with the whole gate list is the same as gate by gate
-    conj_rows(batch, lo, prefix, n)
-    assert batch == rows
+    bx, bz, bsign = batch
+    bsign ^= conj_columns(bx, bz, prefix)
+    assert (bx, bz, bsign) == (xs, zs, sign)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 100])
 def test_conj_rows_match_conj_raw_on_wide_registers(n):
-    # packed rows are 2n bits wide, so these sizes cross 64 and 128 bits
+    # the columns of these registers are as many ints as qubits, and the
+    # rows' masks cross 64 bits; here through conj_columns
     rng = random.Random(n)
     gates = []
     for _ in range(300):
         make = rng.choice((h, s, sdg, cx))
         gates.append(make(*rng.sample(range(n), 2)) if make is cx else make(rng.randrange(n)))
     strings = [(rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1))) for _ in range(20)]
-    # X, Z and Y on the top qubit alone: the highest bit of each half
+    # X, Z and Y on the top qubit alone: the highest bit of each mask
     strings += [(1 << (n - 1), 0, 1), (0, 1 << (n - 1), -1), (1 << (n - 1), 1 << (n - 1), 1)]
-    rows = [_packed(x, z, sign, n) for x, z, sign in strings]
+    xs, zs, sign = columns([PauliString(n, x, z, sg) for x, z, sg in strings], n)
     for k in range(0, len(gates), 7):
         chunk = gates[k : k + 7]
-        conj_rows(rows, 0, chunk, n)
-        for m, (x, z, sign) in enumerate(strings):
-            x, z, sign = _conj_raw(x, z, sign, chunk)
-            strings[m] = x, z, sign
-            assert rows[m] == _packed(x, z, sign, n)
+        sign ^= conj_columns(xs, zs, chunk)
+        rows = _lanes_packed(xs, zs, sign, len(strings), n)
+        for m, (x, z, sg) in enumerate(strings):
+            x, z, sg = _conj_raw(x, z, sg, chunk)
+            strings[m] = x, z, sg
+            assert rows[m] == _packed(x, z, sg, n)
+
+
+def _scored(n, prefix, strings, px, pz, lo=0, tail=0):
+    """The lane ``_score_candidates`` picks among ``strings``, placed in
+    lanes lo and up of columns whose other lanes hold identities, after
+    the prefix and the basis layer of (px, pz)."""
+    paulis = [PauliString(n)] * lo + [PauliString(n, x, z) for x, z in strings] + [PauliString(n)] * tail
+    xs, zs, _ = columns(paulis, n)
+    # the scorer reads the rows after the current string's basis layer
+    conj_columns(xs, zs, prefix + basis_change_gates(PauliString(n, px, pz)))
+    return _score_candidates(xs, zs, (1 << len(strings)) - 1 << lo, px | pz)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scoring_case(), st.integers(0, 2), st.integers(0, 2))
 def test_score_candidates_matches_reference(case, lo, tail):
+    # identity lanes below lo or above the candidates would win if they
+    # were scored
     n, prefix, strings, px, pz = case
-    # identity rows below lo or from hi on would win if they were scanned
-    rows = [0] * lo + [x | z << n for x, z in strings]
-    hi = len(rows)
-    # the scorer reads the rows after the current string's basis layer
-    layer = basis_change_gates(PauliString(n, px, pz))
-    conj_rows(rows, lo, prefix + layer, n)
-    rows += [0] * tail
     expected = lo + _reference_choice(n, prefix, strings, px, pz)
-    assert _score_candidates(rows, lo, hi, px | pz, n) == expected
+    assert _scored(n, prefix, strings, px, pz, lo, tail) == expected
+    # every candidate twice: each minimum is tied, and the first copy wins
+    assert _scored(n, prefix, strings + strings, px, pz, lo, tail) == expected
+
+
+def test_score_candidates_ties_go_to_the_lowest_lane():
+    # behind the tree of ZZI, ZZZ keeps two letters and ZII, IZI one each
+    for strings in ([(0, 0b111), (0, 0b001), (0, 0b010)], [(0, 0b111), (0, 0b010), (0, 0b001)]):
+        assert _scored(3, [], strings, 0, 0b011) == 1 == _reference_choice(3, [], strings, 0, 0b011)
+    # identical candidates: the first one
+    assert _scored(3, [], [(0b101, 0b011)] * 3, 0b111, 0) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_score_candidates_over_more_than_64_lanes(seed):
+    # 140-200 candidates on up to 12 qubits: the counters' ints and the
+    # minimum's tie-break cross machine words
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    px, pz = rng.getrandbits(n) | 1, rng.getrandbits(n)
+    strings = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(rng.randint(140, 200))]
+    # the lightest result recurs past lane 64: only its first copy counts
+    best = strings[_reference_choice(n, [], strings, px, pz)]
+    strings[70] = strings[130] = best
+    expected = _reference_choice(n, [], strings, px, pz)
+    assert expected <= 70
+    assert _scored(n, [], strings, px, pz, lo=seed) == seed + expected
 
 
 def _chain_tree_weight(x, z, smask):
@@ -362,6 +410,13 @@ def _chain_tree_weight(x, z, smask):
     pairs = _chain_tree(_support(smask), x, z)
     x, z, _ = _conj_raw(x, z, 1, [cx(c, t) for c, t in pairs])
     return (x | z).bit_count()
+
+
+def _one_row_weight(x, z, smask, n):
+    """``_chain_weight`` of the single string (x, z): one-row lanes."""
+    xs = [x >> q & 1 for q in range(n)]
+    zs = [z >> q & 1 for q in range(n)]
+    return sum(d << k for k, d in enumerate(_chain_weight(xs, zs, 1, smask)))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -376,7 +431,8 @@ def test_chain_weight_matches_chain_tree_on_every_pattern(k):
         for i, q in enumerate(spread):
             x |= (v >> 2 * i & 1) << q
             z |= (v >> 2 * i + 1 & 1) << q
-        assert _chain_weight(x | off, z | off & v, smask) == _chain_tree_weight(x, z, smask), (k, v)
+        want = _chain_tree_weight(x, z, smask)
+        assert _one_row_weight(x | off, z | off & v, smask, 2 * k) == want, (k, v)
 
 
 @pytest.mark.parametrize("n", [9, 17, 33, 63, 64])
@@ -391,7 +447,7 @@ def test_chain_weight_matches_chain_tree_on_sparse_supports(n):
         for _ in range(rng.randrange(3)):
             x &= rng.getrandbits(n) | rng.getrandbits(n)
             z &= rng.getrandbits(n) | rng.getrandbits(n)
-        assert _chain_weight(x, z, smask) == _chain_tree_weight(x, z, smask), (n, x, z, smask)
+        assert _one_row_weight(x, z, smask, n) == _chain_tree_weight(x, z, smask), (n, x, z, smask)
 
 
 def test_extract_module_is_patched_through_importlib(monkeypatch):
@@ -404,8 +460,47 @@ def test_extract_module_is_patched_through_importlib(monkeypatch):
     assert shadowed is cliffex.extract and module.extract is cliffex.extract
     terms = [term("ZZI", 0.3), term("IZZ", 0.2), term("ZIZ", 0.1), term("XXX", 0.4)]
     assert cliffex.extract(terms).stats["emitted_order"] == (0, 1, 3, 2)
-    monkeypatch.setattr(module, "_score_candidates", lambda rows, lo, hi, smask, n: hi - 1)
+    monkeypatch.setattr(module, "_score_candidates", lambda xs, zs, cand, smask: cand.bit_length() - 1)
     assert cliffex.extract(terms).stats["emitted_order"] == (0, 3, 2, 1)
+
+
+# ------------------------------------------------ reference extraction
+
+
+@st.composite
+def _block_lists(draw):
+    """Signed term lists of up to three stretches, each either random
+    X/Y/Z words (which split into small blocks) or one commuting block of
+    sparse words with a fixed letter per qubit, of up to 100 terms, on
+    small registers or on 63, 64, 65 and 100 qubits."""
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([63, 64, 65, 100])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.one_of(st.integers(1, 12), st.integers(65, 100)))
+        if draw(st.booleans()):
+            words = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(size)]
+        else:
+            letter = [rng.choice("XYZ") for _ in range(n)]
+            width = min(n, rng.randint(1, 6))
+            words = []
+            for _ in range(size):
+                on = set(rng.sample(range(n), rng.randint(1, width)))
+                words.append("".join(letter[q] if q in on else "I" for q in range(n)))
+        terms += [term(rng.choice(["", "-"]) + w, rng.uniform(-3, 3)) for w in words]
+    return terms
+
+
+@settings(max_examples=50, deadline=None)
+@given(_block_lists())
+def test_extract_matches_the_row_reference(terms):
+    # the columns, the all-at-once scorer and the lazy guidance reads give
+    # exactly what extraction one packed row at a time gives
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = extract(terms)
+        ref = reference_extract(terms)
+    assert (res.opt_circuit, res.extracted, res.stats) == ref
 
 
 # ----------------------------------------------------------- extraction

@@ -20,7 +20,7 @@ from cliffex import (
 )
 from cliffex.errors import LengthMismatch
 from cliffex.pauli import PauliString, PauliTerm
-from cliffex.tableau import conj_rows, replay
+from cliffex.tableau import columns, conj_columns, replay, strings
 
 from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, rotation_unitary
 
@@ -47,11 +47,10 @@ def _random_pauli(rng, n):
 
 
 def _conjugate(gates, p):
-    """D p D† for the Clifford D of ``gates`` (time order), through ``conj_rows``."""
-    n, full = p.n, (1 << p.n) - 1
-    rows = [p.x | p.z << n | (p.sign < 0) << 2 * n]
-    conj_rows(rows, 0, gates, n)
-    return PauliString(n, rows[0] & full, rows[0] >> n & full, -1 if rows[0] >> 2 * n else 1)
+    """D p D† for the Clifford D of ``gates`` (time order), through ``conj_columns``."""
+    xs, zs, sign = columns([p], p.n)
+    sign ^= conj_columns(xs, zs, gates)
+    return strings(xs, zs, sign, 1)[0]
 
 
 def test_cnot_conjugation_examples():
