@@ -105,7 +105,7 @@ def absorb_observables(
     E† O E; the mapping back to the originals is positional.  E† O E is
     O conjugated by E's gates inverted, in reverse order.  Raises
     ValueError when E holds an RZ, which is not a Clifford gate."""
-    n = extracted.n
+    n, observables = extracted.n, list(observables)
     if any(g.kind == "rz" for g in extracted.gates):
         raise ValueError("rz is not a Clifford gate")
     for o in observables:

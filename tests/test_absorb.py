@@ -73,6 +73,14 @@ def test_absorb_observables_rejects_rz():
         absorb_observables(Circuit(2, (cx(0, 1), rz(1, 0.3))), [parse_pauli("XZ")])
 
 
+def test_absorb_observables_reads_an_iterable_once():
+    # a generator is read once, not emptied by the length check first
+    e = Circuit(2, (h(0), cx(0, 1)))
+    words = [parse_pauli(w) for w in ("XX", "-ZI", "YZ")]
+    assert absorb_observables(e, (p for p in words)) == absorb_observables(e, words)
+    assert len(absorb_observables(e, words)) == 3
+
+
 def test_absorb_observables_is_e_dagger_o_e():
     rng = np.random.default_rng(59)
     for _ in range(30):
