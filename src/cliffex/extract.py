@@ -16,7 +16,10 @@ strings.  The current string and its sign are read from its lane; all
 candidates for the next position are scored at once with bit-sliced
 counters; and a tree reads its guiding successors (the chosen candidate,
 then every waiting string in input order) lazily, only on its own
-qubits.
+qubits.  One more counter keeps every lane's weight: a rotation's gates
+act on its support S alone, so its letters on S are taken out to score
+the weight off S and put back after the tree, O(|S| log n) counter steps
+plus one O(n) row read per rotation.  Blocks are cut from columns too.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
@@ -32,13 +35,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import InvalidSize, LengthMismatch
 from .pauli import PauliString, PauliTerm, _letter_at, _support
 from .tableau import columns, conj_columns
 
-_ROOT_PRIORITY = {"X": 0, "Y": 1, "I": 2, "Z": 3, None: 4}
+_ROOT_ORDER = ("X", "Y", "I", "Z", None)
 _PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
 _GROUP_ORDER = ("X", "Y", "Z", "I")
 
@@ -54,34 +58,30 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
     """Greedy left-to-right partition into maximal consecutive runs of
     mutually commuting terms: a term joins the current block iff it
     commutes with every member, otherwise it starts a new block.  Terms
-    may be reordered inside a block; block boundaries never move."""
+    may be reordered inside a block; block boundaries never move.  Over
+    the terms' columns, the lanes anticommuting with term k are one
+    parity: the XOR of ``zs[q]`` over its X bits and of ``xs[q]`` over its
+    Z bits (a Y cancels itself), O(weight) big-int XORs per term."""
     terms = list(terms)
     if not terms:
         raise ValueError("cannot partition an empty term list")
     n = terms[0].pauli.n
-    blocks: list[list[PauliTerm]] = []
-    cur: list[PauliTerm] = []
-    # a basis of the span of cur's (x, z) vectors, keyed by its top bit:
-    # the symplectic product is bilinear, so commuting with the basis
-    # means commuting with every member
-    span: dict[int, PauliString] = {}
     for k, t in enumerate(terms):
-        p = t.pauli
-        if p.n != n:
-            raise LengthMismatch(f"term {k} acts on {p.n} qubits, expected {n}")
-        if not all(p.commutes(b) for b in span.values()):
-            blocks.append(cur)
-            cur, span = [], {}
-        cur.append(t)
-        x, z = p.x, p.z
-        while x | z:
-            top = (x | z << n).bit_length() - 1
-            b = span.get(top)
-            if b is None:
-                span[top] = PauliString(n, x, z)
-                break
-            x, z = x ^ b.x, z ^ b.z
-    blocks.append(cur)
+        if t.pauli.n != n:
+            raise LengthMismatch(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
+    xs, zs, _ = columns([t.pauli for t in terms], n)
+    blocks: list[list[PauliTerm]] = []
+    start = 0
+    for k, t in enumerate(terms):
+        anti = 0
+        for q in _support(t.pauli.x):
+            anti ^= zs[q]
+        for q in _support(t.pauli.z):
+            anti ^= xs[q]
+        if anti & (1 << k) - (1 << start):
+            blocks.append(terms[start:k])
+            start = k
+    blocks.append(terms[start:])
     return blocks
 
 
@@ -89,13 +89,10 @@ def basis_change_gates(p: PauliString) -> list[Gate]:
     """Single-qubit layer rotating every X/Y letter of ``p`` to Z
     (X: [H]; Y: [SDG, H] in time order)."""
     out: list[Gate] = []
-    for q in _support(p.x | p.z):
-        letter = _letter_at(p.x, p.z, q)
-        if letter == "X":
-            out.append(h(q))
-        elif letter == "Y":
+    for q in _support(p.x):
+        if p.z >> q & 1:
             out.append(sdg(q))
-            out.append(h(q))
+        out.append(h(q))
     return out
 
 
@@ -111,19 +108,16 @@ def _connect_roots(roots: list[tuple[str | None, int]], out: list[tuple[int, int
     by: dict[str | None, list[int]] = {"X": [], "Y": [], "Z": [], "I": [], None: []}
     for cls, q in roots:
         by[cls].append(q)
-    for lst in by.values():
-        lst.sort()
     for src, dst in _PAIRINGS:
         a, b = by[src], by[dst]
         k = min(len(a), len(b))
-        for i in range(k):
-            out.append((a[i], b[i]))
-        by[src] = a[k:]
-    left = [(cls, q) for cls in ("X", "Y", "I", "Z", None) for q in by[cls]]
-    _, root = min(left, key=lambda cq: (_ROOT_PRIORITY[cq[0]], cq[1]))
-    for _, q in sorted(left, key=lambda cq: cq[1]):
-        if q != root:
-            out.append((q, root))
+        if k:
+            a.sort()
+            b.sort()
+            out += zip(a[:k], b)
+            by[src] = a[k:]
+    root = min(next(by[cls] for cls in _ROOT_ORDER if by[cls]))
+    out += [(q, root) for q in sorted(chain.from_iterable(by.values())) if q != root]
     return root
 
 
@@ -202,6 +196,13 @@ def _add(counter: list[int], lanes: int, k: int = 0) -> None:
         k += 1
 
 
+def _sub(counter: list[int], lanes: int, k: int = 0) -> None:
+    """``_add``'s borrow-chain twin: subtract 2**k in every lane of ``lanes``."""
+    while lanes:
+        counter[k], lanes = counter[k] ^ lanes, ~counter[k] & lanes
+        k += 1
+
+
 def _chain_weight(xs: list[int], zs: list[int], cand: int, smask: int) -> list[int]:
     """Bit-sliced count, in each lane of ``cand`` of the columns
     ``xs``/``zs``, of the letters left on the support S = ``smask`` by the
@@ -232,16 +233,17 @@ def _chain_weight(xs: list[int], zs: list[int], cand: int, smask: int) -> list[i
     return w
 
 
-def _score_candidates(xs: list[int], zs: list[int], cand: int, smask: int) -> int:
+def _score_candidates(xs: list[int], zs: list[int], cand: int, smask: int, off: list[int]) -> int:
     """Lane of the candidate in ``cand`` (a row of the columns, conjugated
     through every gate emitted so far, the current string's basis layer
     included) with the fewest letters left after the tree of
     ``_chain_weight`` keyed on it; ties go to the lowest lane.  Letters
-    off S = ``smask`` count as they are.  All candidates are scored at
-    once, and the minimum is found top digit first."""
+    off S = ``smask`` count as they are: ``off`` is the bit-sliced count
+    of each lane's letters there.  All candidates are scored at once, and
+    the minimum is found top digit first."""
     w = _chain_weight(xs, zs, cand, smask)
-    for q in _support((1 << len(xs)) - 1 & ~smask):
-        _add(w, xs[q] & cand | zs[q] & cand)
+    for k, digit in enumerate(off):
+        _add(w, digit & cand, k)
     for digit in reversed(w):
         low = cand & ~digit
         if low:
@@ -249,10 +251,15 @@ def _score_candidates(xs: list[int], zs: list[int], cand: int, smask: int) -> in
     return (cand & -cand).bit_length() - 1
 
 
-def _read(cols: list[int], k: int, qubits) -> int:
-    """Row k's mask of the column ints ``cols`` on ``qubits``."""
-    bit = 1 << k
-    return sum(1 << q for q in qubits if cols[q] & bit)
+def _read(xs: list[int], zs: list[int], k: int, qubits) -> tuple[int, int]:
+    """Row k's (x, z) masks of the columns ``xs``/``zs`` on ``qubits``."""
+    bit, x, z = 1 << k, 0, 0
+    for q in qubits:
+        if xs[q] & bit:
+            x |= 1 << q
+        if zs[q] & bit:
+            z |= 1 << q
+    return x, z
 
 
 def _lanes(first: int | None, rest: int):
@@ -300,6 +307,9 @@ def extract(terms) -> ExtractionResult:
     # through every gate emitted so far; a finished block's lanes are
     # shifted out, so the current block starts at lane 0
     xs, zs, sign = columns([t.pauli for _, t in order], n)
+    wt: list[int] = []  # every lane's weight, bit-sliced; idle qubits add nothing
+    for occupied in filter(None, map(int.__or__, xs, zs)):
+        _add(wt, occupied)
     base = 0
     for block in blocks:
         size = len(block)
@@ -307,24 +317,28 @@ def extract(terms) -> ExtractionResult:
         alive, cur = (1 << size) - 1, 0
         while alive:
             alive ^= 1 << cur
-            px, pz, neg = _read(xs, cur, range(n)), _read(zs, cur, range(n)), sign >> cur & 1
+            (px, pz), neg = _read(xs, zs, cur, range(n)), sign >> cur & 1
+            supp = _support(px | pz)
             layer = basis_change_gates(PauliString(n, px, pz))
             sign ^= conj_columns(xs, zs, layer)
-            nxt, rest = None, later
-            if alive:
-                nxt = _score_candidates(xs, zs, alive, px | pz)
-                reorders += alive & -alive != 1 << nxt
-                rest |= alive ^ 1 << nxt
-            supp = _support(px | pz)
-            # a string with one letter on all of S splits no group of the
+            # S's letters leave the weights until the tree is done; a
+            # string with one letter on all of S splits no group of the
             # tree and is skipped, so only the others are read
             mixed = 0
             for q in supp:
+                _sub(wt, xs[q] | zs[q])
                 mixed |= xs[q] ^ xs[supp[0]] | zs[q] ^ zs[supp[0]]
+            nxt, rest = None, later
+            if alive:
+                nxt = _score_candidates(xs, zs, alive, px | pz, wt)
+                reorders += alive & -alive != 1 << nxt
+                rest |= alive ^ 1 << nxt
             first = nxt if alive and mixed >> nxt & 1 else None
-            guides = ((_read(xs, k, supp), _read(zs, k, supp)) for k in _lanes(first, rest & mixed))
+            guides = (_read(xs, zs, k, supp) for k in _lanes(first, rest & mixed))
             tree, root = tree_synthesis(supp, guides)
             sign ^= conj_columns(xs, zs, tree)
+            for q in supp:
+                _add(wt, xs[q] | zs[q])
             gates += layer
             gates += tree
             k, t = order[base + cur]
@@ -333,6 +347,7 @@ def extract(terms) -> ExtractionResult:
             emitted.append(k)
             cur = nxt
         xs, zs, sign = [c >> size for c in xs], [c >> size for c in zs], sign >> size
+        wt = [d >> size for d in wt]
         base += size
 
     stats = {

@@ -3,6 +3,8 @@ each public entry point raises only the exception types documented for
 it, compared by exact type (a plain ``ValueError`` is not a
 ``SchemaError``, nor the reverse)."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,16 @@ from hypothesis import strategies as st
 from cliffex import (
     Circuit,
     CountsHistogram,
+    PauliTerm,
     ProbabilityAbsorption,
     absorb_observables,
+    convert_commute_sets,
     cx,
+    extract,
     gen_labs,
     gen_maxcut,
     map_expectations,
+    native_circuit,
     parse_pauli,
     parse_qasm,
     postprocess_counts,
@@ -127,9 +133,23 @@ def _expectations(data):
     _only({LengthMismatch}, map_expectations, records, values)
 
 
+def _term_list(data):
+    # empty lists, mixed qubit counts and identity-only lists
+    sizes = data.draw(st.lists(st.integers(1, 3), max_size=4))
+    identity = data.draw(st.booleans())
+    words = [data.draw(st.just("I" * n) if identity else st.text("IXYZ", min_size=n, max_size=n))
+             for n in sizes]
+    terms = [PauliTerm(parse_pauli(w), 0.5) for w in words]
+    fn = data.draw(st.sampled_from([convert_commute_sets, extract, native_circuit]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # extract warns about each identity term
+        if _only({LengthMismatch} if terms else {ValueError}, fn, terms) is None:
+            assert not terms or len(set(sizes)) > 1
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_public_entry_points_raise_only_documented_types(data):
     entry = data.draw(st.sampled_from([_pauli, _qasm, _histogram, _absorption_then_postprocess,
-                                       _maxcut, _labs, _expectations]))
+                                       _maxcut, _labs, _expectations, _term_list]))
     entry(data)

@@ -94,20 +94,33 @@ def test_commute_blocks_mixed_counts():
         convert_commute_sets([term("ZZ"), term("Z")])
 
 
+@st.composite
+def _partition_words(draw):
+    """Dense words on 1-4 qubits, or up to 150 sparse words on 63, 64, 65
+    or 100 qubits, whose lane masks and qubit masks cross word
+    boundaries; a narrow letter set keeps some blocks long."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 63, 64, 65, 100]))
+    if n <= 4:
+        return draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=24))
+    letters = draw(st.sampled_from(["IZ", "XZ", "IXZ", "IXYZ"]))
+    spots = st.dictionaries(st.integers(0, n - 1), st.sampled_from(letters), max_size=3)
+    m = draw(st.integers(1, 150))
+    return ["".join(d.get(q, "I") for q in range(n)) for d in draw(st.lists(spots, min_size=m, max_size=m))]
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=24)
-    )
-)
+@given(_partition_words())
 def test_commute_blocks_match_pairwise_definition(words):
     expected: list[list[str]] = []
+    members: list[PauliString] = []
     for w in words:
         p = parse_pauli(w)
-        if expected and all(p.commutes(parse_pauli(v)) for v in expected[-1]):
+        if expected and all(p.commutes(v) for v in members):
             expected[-1].append(w)
+            members.append(p)
         else:
             expected.append([w])
+            members = [p]
     blocks = convert_commute_sets([term(w) for w in words])
     assert [[t.pauli.letters() for t in b] for b in blocks] == expected
 
@@ -356,6 +369,14 @@ def test_conj_rows_match_conj_raw_on_wide_registers(n):
             assert rows[m] == _packed(x, z, sg, n)
 
 
+def _off_support(xs, zs, smask, lanes):
+    """Each lane's letters off ``smask``, counted lane by lane from
+    scratch and bit-sliced like the scorer's counters (least significant
+    digit first, bit k of each digit belonging to lane k)."""
+    counts = [sum((xs[q] | zs[q]) >> k & 1 for q in range(len(xs)) if not smask >> q & 1) for k in range(lanes)]
+    return [sum((c >> d & 1) << k for k, c in enumerate(counts)) for d in range(max(counts).bit_length())]
+
+
 def _scored(n, prefix, strings, px, pz, lo=0, tail=0):
     """The lane ``_score_candidates`` picks among ``strings``, placed in
     lanes lo and up of columns whose other lanes hold identities, after
@@ -364,7 +385,8 @@ def _scored(n, prefix, strings, px, pz, lo=0, tail=0):
     xs, zs, _ = columns(paulis, n)
     # the scorer reads the rows after the current string's basis layer
     conj_columns(xs, zs, prefix + basis_change_gates(PauliString(n, px, pz)))
-    return _score_candidates(xs, zs, (1 << len(strings)) - 1 << lo, px | pz)
+    off = _off_support(xs, zs, px | pz, len(paulis))
+    return _score_candidates(xs, zs, (1 << len(strings)) - 1 << lo, px | pz, off)
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,8 +482,40 @@ def test_extract_module_is_patched_through_importlib(monkeypatch):
     assert shadowed is cliffex.extract and module.extract is cliffex.extract
     terms = [term("ZZI", 0.3), term("IZZ", 0.2), term("ZIZ", 0.1), term("XXX", 0.4)]
     assert cliffex.extract(terms).stats["emitted_order"] == (0, 1, 3, 2)
-    monkeypatch.setattr(module, "_score_candidates", lambda xs, zs, cand, smask: cand.bit_length() - 1)
+    monkeypatch.setattr(module, "_score_candidates", lambda xs, zs, cand, smask, off: cand.bit_length() - 1)
     assert cliffex.extract(terms).stats["emitted_order"] == (0, 3, 2, 1)
+
+
+def test_counter_steps_per_rotation_do_not_grow_with_the_register(monkeypatch):
+    # the same 300 weight-2 strings on 20 qubits and spread over 200:
+    # scoring reads the weight off S from a kept counter, so the number
+    # of counter additions and subtractions must not depend on n
+    module = importlib.import_module("cliffex.extract")
+    calls = {"steps": 0}
+
+    def counted(fn):
+        def step(*args):
+            calls["steps"] += 1
+            return fn(*args)
+        return step
+
+    monkeypatch.setattr(module, "_add", counted(module._add))
+    monkeypatch.setattr(module, "_sub", counted(module._sub))
+    rng = random.Random(20)
+    pairs = [(rng.sample(range(20), 2), rng.choice(["ZZ", "XX", "ZX", "XZ"])) for _ in range(300)]
+    steps, stats = {}, {}
+    for n, spread in ((20, 1), (200, 10)):
+        terms = []
+        for (a, b), letters in pairs:
+            word = ["I"] * n
+            word[a * spread], word[b * spread] = letters
+            terms.append(term("".join(word)))
+        calls["steps"] = 0
+        stats[n] = module.extract(terms).stats
+        steps[n] = calls["steps"]
+    assert stats[20] == stats[200]
+    assert steps[20] > 0
+    assert steps[200] == steps[20], (steps[20] / 300, steps[200] / 300)
 
 
 # ------------------------------------------------ reference extraction
