@@ -1,12 +1,20 @@
 """Gate-level circuit representation, metrics, a conservative peephole
 cleaner, and OpenQASM 2.0 emission/parsing for the {H, S, SDG, CNOT, RZ}
-gate set."""
+gate set.
+
+``h``, ``s``, ``sdg`` and ``cx`` on int qubits return shared immutable
+gates: each distinct one is built and validated once, on first use, and
+every later call (``parse_qasm``'s too) is one dict lookup.  ``rz`` builds
+a new gate per call.
+"""
 
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from .errors import InvalidSize, SchemaError
 
@@ -39,20 +47,40 @@ class Gate:
             raise ValueError(f"{self.kind} carries no angle")
 
 
+class _Shared(dict):
+    """The gates of one Clifford kind by qubit (a control/target pair for
+    cx), each built, and so validated, when first looked up.  Keys must
+    be exact ints: 1.0 and True hash like 1 and would get its gate."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, key) -> Gate:
+        g = self[key] = Gate(self.kind, key if type(key) is tuple else (key,))
+        return g
+
+
+_SHARED = {kind: _Shared(kind) for kind in ("h", "s", "sdg", "cx")}
+_H, _S, _SDG, _CX = _SHARED.values()
+
+
 def h(q: int) -> Gate:
-    return Gate("h", (q,))
+    return _H[q] if type(q) is int else Gate("h", (q,))
 
 
 def s(q: int) -> Gate:
-    return Gate("s", (q,))
+    return _S[q] if type(q) is int else Gate("s", (q,))
 
 
 def sdg(q: int) -> Gate:
-    return Gate("sdg", (q,))
+    return _SDG[q] if type(q) is int else Gate("sdg", (q,))
 
 
 def cx(c: int, t: int) -> Gate:
-    return Gate("cx", (c, t))
+    return _CX[c, t] if type(c) is type(t) is int else Gate("cx", (c, t))
 
 
 def rz(q: int, theta: float) -> Gate:
@@ -69,6 +97,9 @@ def inverse(g: Gate) -> Gate:
     return g  # h and cx are self-inverse
 
 
+_QUBITS = attrgetter("qubits")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Time-ordered gate list over n qubits (first gate applied first)."""
@@ -79,9 +110,12 @@ class Circuit:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSize(f"qubit count must be positive, got {self.n}")
-        for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.n} qubits")
+        # one max over every qubit; "not <" also sends a NaN qubit, which
+        # max may or may not return, to the per-gate check
+        if self.gates and not max(chain.from_iterable(map(_QUBITS, self.gates))) < self.n:
+            for g in self.gates:
+                if any(q >= self.n for q in g.qubits):
+                    raise ValueError(f"gate {g} out of range for {self.n} qubits")
 
 
 def cnot_count(c: Circuit) -> int:
@@ -171,23 +205,37 @@ def emit_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QASM_1Q = re.compile(r"^(h|s|sdg)\s+q\[(\d+)\]$")
-_QASM_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]$")
-_QASM_RZ = re.compile(r"^rz\(([-+0-9.eE]+)\)\s+q\[(\d+)\]$")
+# a gate statement with its ';', surrounding blanks and trailing comment:
+# the one pattern a line of emitted QASM is matched against once its
+# register is declared
+_QASM_GATE = re.compile(
+    r"\s*(?:(h|s|sdg)\s+q\[(\d+)\]|cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]"
+    r"|rz\(([-+0-9.eE]+)\)\s+q\[(\d+)\])\s*;\s*(?://.*)?"
+)
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\]$")
 
 
-def _qasm_gate(stmt: str) -> Gate:
-    m = _QASM_1Q.match(stmt)
-    if m:
-        return Gate(m.group(1), (int(m.group(2)),))
-    m = _QASM_CX.match(stmt)
-    if m:
-        return cx(int(m.group(1)), int(m.group(2)))
-    m = _QASM_RZ.match(stmt)
-    if m:
-        return rz(int(m.group(2)), float(m.group(1)))
-    raise ValueError("unsupported statement")
+def _other_line(raw: str, n: int | None) -> int | None:
+    """The register size after a line that is not a gate statement under
+    a declared register: a blank or comment line, the header or the qreg
+    declaration.  Anything else raises SchemaError."""
+    stmt = raw.split("//", 1)[0].strip()
+    if not stmt:
+        return n
+    if not stmt.endswith(";"):
+        raise SchemaError(f"missing ';' in qasm line: {raw!r}")
+    stmt = stmt[:-1].strip()
+    if stmt == "OPENQASM 2.0" or stmt == 'include "qelib1.inc"':
+        return n
+    m = _QASM_QREG.match(stmt)
+    if m and n is None:
+        n = int(m.group(1))
+        if n >= 1:
+            return n
+        msg = f"qubit count must be positive, got {n}"
+    else:
+        msg = "gate before qreg declaration" if n is None else "unsupported statement"
+    raise SchemaError(f"bad qasm statement {stmt!r}: {msg}")
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -197,27 +245,22 @@ def parse_qasm(text: str) -> Circuit:
     n = None
     gates: list[Gate] = []
     for raw in text.splitlines():
-        stmt = raw.split("//", 1)[0].strip()
-        if not stmt:
+        m = _QASM_GATE.fullmatch(raw) if n is not None else None
+        if m is None:
+            n = _other_line(raw, n)
             continue
-        if not stmt.endswith(";"):
-            raise SchemaError(f"missing ';' in qasm line: {raw!r}")
-        stmt = stmt[:-1].strip()
-        if stmt == "OPENQASM 2.0" or stmt == 'include "qelib1.inc"':
-            continue
+        one, q, c, t, theta, rq = m.groups()
         try:
-            m = _QASM_QREG.match(stmt)
-            if m and n is None:
-                n = int(m.group(1))
-                if n < 1:
-                    raise ValueError(f"qubit count must be positive, got {n}")
-                continue
-            if n is None:
-                raise ValueError("gate before qreg declaration")
-            g = _qasm_gate(stmt)
+            if one:
+                g = _SHARED[one][int(q)]
+            elif c:
+                g = _CX[int(c), int(t)]
+            else:
+                g = rz(int(rq), float(theta))
             if max(g.qubits) >= n:
                 raise ValueError(f"qubit {max(g.qubits)} outside the {n}-qubit register")
         except ValueError as exc:
+            stmt = raw.split("//", 1)[0].strip()[:-1].strip()
             raise SchemaError(f"bad qasm statement {stmt!r}: {exc}") from None
         gates.append(g)
     if n is None:

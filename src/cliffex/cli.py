@@ -27,7 +27,7 @@ from .absorb import (
     map_expectations,
     postprocess_counts,
 )
-from .circuit import Circuit, Gate, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole
+from .circuit import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, sdg
 from .errors import CliffexError, NotReducible, SchemaError
 from .extract import basis_change_gates, extract, native_circuit
 from .problems import (
@@ -123,6 +123,15 @@ def cmd_optimize(args) -> int:
         result = extract(prob.terms)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    if prob.mode == "probabilities":
+        # a refusal costs no peephole, baseline or metrics
+        try:
+            pa = absorb_probabilities(result.extracted)
+        except NotReducible as exc:
+            return _fail(
+                f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
+                'give the input "mode": "observables" and an "observables" list'
+            )
     opt = peephole(result.opt_circuit)
     native = native_circuit(prob.terms)
 
@@ -141,13 +150,6 @@ def cmd_optimize(args) -> int:
     }
 
     if prob.mode == "probabilities":
-        try:
-            pa = absorb_probabilities(result.extracted)
-        except NotReducible as exc:
-            return _fail(
-                f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
-                'give the input "mode": "observables" and an "observables" list'
-            )
         report["absorption"] = {
             "h_mask": sorted(pa.h_mask),
             "network": [list(e) for e in pa.network],
@@ -244,7 +246,7 @@ def _observable_records(report) -> list[TransformedObservable]:
                 for g in v
             ),
         )
-        layer = tuple(Gate(kind, (q,)) for kind, q in pairs)
+        layer = tuple((h if kind == "h" else sdg)(q) for kind, q in pairs)
         records.append(TransformedObservable(original, transformed, layer))
     return records
 
@@ -450,8 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # built on the first call and kept: an in-process caller that runs
+    # many commands pays for it once
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (CliffexError, OSError) as exc:

@@ -69,20 +69,24 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
     for k, t in enumerate(terms):
         if t.pauli.n != n:
             raise LengthMismatch(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
-    xs, zs, _ = columns([t.pauli for t in terms], n)
-    blocks: list[list[PauliTerm]] = []
-    start = 0
-    for k, t in enumerate(terms):
+    paulis = [t.pauli for t in terms]
+    cuts = _block_cuts(paulis, *columns(paulis, n)[:2])
+    return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _block_cuts(paulis: list[PauliString], xs: list[int], zs: list[int]) -> list[int]:
+    """The first index of each block of ``convert_commute_sets`` over the
+    non-empty ``paulis``, whose columns are ``xs``/``zs``, then their count."""
+    starts = [0]
+    for k, p in enumerate(paulis):
         anti = 0
-        for q in _support(t.pauli.x):
+        for q in _support(p.x):
             anti ^= zs[q]
-        for q in _support(t.pauli.z):
+        for q in _support(p.z):
             anti ^= xs[q]
-        if anti & (1 << k) - (1 << start):
-            blocks.append(terms[start:k])
-            start = k
-    blocks.append(terms[start:])
-    return blocks
+        if anti & (1 << k) - (1 << starts[-1]):
+            starts.append(k)
+    return starts + [len(paulis)]
 
 
 def basis_change_gates(p: PauliString) -> list[Gate]:
@@ -301,18 +305,19 @@ def extract(terms) -> ExtractionResult:
     weights: list[int] = []
     emitted: list[int] = []
     reorders = 0
-    blocks = convert_commute_sets([t for _, t in order]) if order else []
 
     # lane k of the columns is order[base + k]'s signed string conjugated
     # through every gate emitted so far; a finished block's lanes are
     # shifted out, so the current block starts at lane 0
-    xs, zs, sign = columns([t.pauli for _, t in order], n)
+    paulis = [t.pauli for _, t in order]
+    xs, zs, sign = columns(paulis, n)
+    cuts = _block_cuts(paulis, xs, zs) if order else []
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]
     wt: list[int] = []  # every lane's weight, bit-sliced; idle qubits add nothing
     for occupied in filter(None, map(int.__or__, xs, zs)):
         _add(wt, occupied)
     base = 0
-    for block in blocks:
-        size = len(block)
+    for size in sizes:
         later = (1 << len(order) - base) - (1 << size)
         alive, cur = (1 << size) - 1, 0
         while alive:
@@ -352,8 +357,8 @@ def extract(terms) -> ExtractionResult:
 
     stats = {
         "rotations": len(order),
-        "blocks": len(blocks),
-        "block_sizes": tuple(len(b) for b in blocks),
+        "blocks": len(sizes),
+        "block_sizes": tuple(sizes),
         "reorders": reorders,
         "skipped_identity_terms": len(terms) - len(order),
         "emitted_order": tuple(emitted),

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -122,6 +124,50 @@ def test_qasm_roundtrip():
         assert parse_qasm(emit_qasm(c)) == c
 
 
+@st.composite
+def _circuits(draw):
+    """Circuits of all five gate kinds on up to 100 qubits; rz angles
+    include negative, tiny and subnormal values."""
+    n = draw(st.integers(1, 100))
+    qubit = st.integers(0, n - 1)
+    angle = st.one_of(
+        st.floats(-10, 10, allow_nan=False),
+        st.sampled_from([-1e-300, 5e-324, -5e-324, 1e-13, -2.5e-9, -0.0, math.pi]),
+    )
+    kinds = [st.builds(h, qubit), st.builds(s, qubit), st.builds(sdg, qubit), st.builds(rz, qubit, angle)]
+    if n > 1:
+        kinds.append(st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda p: cx(*p)))
+    return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits())
+def test_qasm_roundtrip_property(c):
+    back = parse_qasm(emit_qasm(c))
+    assert back == c
+    assert [g.theta for g in back.gates] == [g.theta for g in c.gates]
+
+
+_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEADER + "t q[0];\n", "bad qasm statement 't q[0]': unsupported statement"),
+    (_HEADER + "cx q[1],q[1];\n", "bad qasm statement 'cx q[1],q[1]': cx control and target must differ"),
+    (_HEADER + "rz(nan) q[0];\n", "bad qasm statement 'rz(nan) q[0]': unsupported statement"),
+    (_HEADER + "rz(1e999) q[0];\n", "bad qasm statement 'rz(1e999) q[0]': rz needs a finite angle"),
+    (_HEADER + "h q[3];\n", "bad qasm statement 'h q[3]': qubit 3 outside the 2-qubit register"),
+    (_HEADER + "h q[0]\n", "missing ';' in qasm line: 'h q[0]'"),
+    (_HEADER + "qreg q[3];\n", "bad qasm statement 'qreg q[3]': unsupported statement"),
+    ("OPENQASM 2.0;\nh q[0];\nqreg q[2];\n", "bad qasm statement 'h q[0]': gate before qreg declaration"),
+    ("qreg q[0];\n", "bad qasm statement 'qreg q[0]': qubit count must be positive, got 0"),
+])
+def test_parse_qasm_error_messages(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_qasm(text)
+    assert str(info.value) == message
+
+
 def test_parse_qasm_rejects_unknown():
     with pytest.raises(SchemaError):
         parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nt q[0];\n')
@@ -183,3 +229,59 @@ def test_inverse():
     assert inverse(sdg(1)) == s(1)
     assert inverse(h(0)) == h(0)
     assert inverse(rz(0, 0.5)) == rz(0, -0.5)
+
+
+def test_clifford_gates_are_shared():
+    assert cx(0, 1) is cx(0, 1)
+    assert h(3) is h(3) and s(3) is s(3) and sdg(3) is sdg(3)
+    assert inverse(s(2)) is sdg(2) and inverse(sdg(2)) is s(2)
+    assert parse_qasm(emit_qasm(Circuit(2, (cx(1, 0), sdg(1))))).gates[0] is cx(1, 0)
+    with pytest.raises(ValueError):
+        cx(4, 4)  # a rejected gate is not kept either
+    with pytest.raises(ValueError):
+        cx(4, 4)
+    with pytest.raises(ValueError):
+        h(-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h(0).qubits = (1,)
+
+
+def test_clifford_gates_on_non_int_qubits_are_built_as_given():
+    # 1.0 and True hash like 1: they must not pick up, or replace, h(1)
+    one = h(1)
+    for q in (1.0, True):
+        g = h(q)
+        assert g is not one and type(g.qubits[0]) is type(q)
+        assert g == one  # dataclass equality, as before
+    assert type(cx(0, 1.0).qubits[1]) is float
+    assert h(1) is one and type(h(1).qubits[0]) is int
+    assert type(cx(0, 1).qubits[1]) is int
+
+
+def test_circuit_names_the_first_gate_out_of_range():
+    with pytest.raises(ValueError) as info:
+        Circuit(2, (h(0), cx(0, 2), h(5)))
+    assert str(info.value) == "gate Gate(kind='cx', qubits=(0, 2), theta=None) out of range for 2 qubits"
+    with pytest.raises(ValueError, match=r"qubits=\(3,\)"):
+        Circuit(3, (h(float("nan")), h(3)))
+    Circuit(3, (h(float("nan")), h(2)))  # NaN is not >= n, as before
+
+
+def test_second_parse_builds_no_clifford_gate(monkeypatch):
+    # structural, no timing: parsed Clifford gates come from the shared
+    # table, so parsing the same text again validates only its rz gates
+    built = []
+    post_init = Gate.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted)
+    rng = np.random.default_rng(11)
+    text = emit_qasm(_random_circuit(rng, 60, 300))
+    first = parse_qasm(text)
+    built.clear()
+    assert parse_qasm(text) == first
+    assert sorted(set(built)) == ["rz"]
+    assert len(built) == sum(g.kind == "rz" for g in first.gates)

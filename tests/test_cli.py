@@ -177,6 +177,43 @@ def test_optimize_mode_probabilities_rejects_y_terms(tmp_path, capsys):
     assert "observables" in capsys.readouterr().err
 
 
+def test_optimize_refusal_message_and_no_outputs(tmp_path, capsys, monkeypatch):
+    # the refusal comes straight after extraction: no peephole, no baseline
+    import cliffex.cli as cli
+
+    def unreached(*args):
+        raise AssertionError("a refused input reached the artifacts")
+
+    monkeypatch.setattr(cli, "peephole", unreached)
+    monkeypatch.setattr(cli, "native_circuit", unreached)
+    inp = write_json(tmp_path / "y.json", {"num_qubits": 2, "terms": [{"pauli": "YZ", "coeff": 0.4}]})
+    assert run(*_opt_args(tmp_path, inp)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: cannot absorb the extracted Clifford into bitstrings (gate kind 's' is not H or CNOT); "
+        'give the input "mode": "observables" and an "observables" list\n'
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["y.json"]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    import cliffex.cli as cli
+
+    built, original = [], cli.build_parser
+
+    def build():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", build)
+    for n in (4, 6):
+        assert run("gen", "labs", "--n", n, "--out", tmp_path / f"l{n}.json") == 0
+    assert run("gen", "maxcut", "--nodes", 3, "--degree", 3, "--out", tmp_path / "x.json") == 2
+    assert len(built) == 1
+
+
 def test_optimize_observables_requires_list(tmp_path):
     inp = write_json(
         tmp_path / "noobs.json",
