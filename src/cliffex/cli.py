@@ -30,6 +30,7 @@ from .absorb import (
 from .circuit import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, sdg
 from .errors import CliffexError, NotReducible, SchemaError
 from .extract import basis_change_gates, extract, native_circuit
+from .pauli import _support
 from .problems import (
     _field,
     _finite,
@@ -41,7 +42,7 @@ from .problems import (
     load_terms,
     to_input_dict,
 )
-from .tableau import replay
+from .tableau import anticommuting, columns, replay
 
 OK, VERIFY_FAIL, USAGE = 0, 1, 2
 
@@ -279,6 +280,16 @@ def _artifact(path: str, what: str, n: int) -> Circuit:
     return circ
 
 
+def _lay_out(rows: list[list], n: int) -> tuple[list[int], list[int], dict]:
+    """Columns of the strings of ``rows`` ([string, coefficient], lane k
+    holding rows[k]) and each string's lanes in order."""
+    xs, zs, _ = columns([p for p, _ in rows], n)
+    lanes: dict[tuple[int, int], list[int]] = {}
+    for k, (p, _) in enumerate(rows):
+        lanes.setdefault((p.x, p.z), []).append(k)
+    return xs, zs, lanes
+
+
 def _same_rotations(terms, rotations, n: int) -> bool:
     """True iff the rotations of ``replay`` ((P, t) for exp(-i t/2 P), in
     time order) multiply to the input's rotations exp(i c P), in input
@@ -288,27 +299,48 @@ def _same_rotations(terms, rotations, n: int) -> bool:
     with, or at the end, it stays there with its angle negated.  A
     rotation whose coefficient is within 1e-9 max(1, |c|) of zero is
     dropped; the products are equal when no rotation is left.
+
+    The remaining rotations are the ``alive`` lanes of columns, so a
+    term's first anticommuting rotation is the lowest alive lane of one
+    parity, and its first own-string rotation is the first of that
+    string's alive lanes; whichever is lower stops it.  A term left over
+    after every lane takes a new lane; one left before an alive lane
+    lays the lanes out again.
     """
-    # [packed string, the string with x and z swapped, coefficient]; a
-    # string anticommutes with v iff v & its swap has odd weight
-    rest = [[p.x | p.z << n, p.z | p.x << n, -0.5 * t * p.sign] for p, t in rotations]
+    rows = [[p, -0.5 * t * p.sign] for p, t in rotations]  # [string, coefficient]
+    xs, zs, lanes = _lay_out(rows, n)
+    alive = (1 << len(rows)) - 1
     for term in terms:
         p = term.pauli
-        v = p.x | p.z << n
-        if not v:  # the identity only adds a global phase
+        if not p.x | p.z:  # the identity only adds a global phase
             continue
         c = term.coeff * p.sign
         tol = 1e-9 * max(1.0, abs(c))
-        k = 0
-        while k < len(rest) and rest[k][0] != v and not (v & rest[k][1]).bit_count() & 1:
-            k += 1
-        if k < len(rest) and rest[k][0] == v:
-            rest[k][2] -= c
-            if abs(rest[k][2]) <= tol:
-                del rest[k]
+        anti = anticommuting(xs, zs, p) & alive
+        stop = (anti & -anti).bit_length() - 1
+        same = lanes.get((p.x, p.z))
+        if same and (not anti or same[0] < stop):
+            k = same[0]
+            rows[k][1] -= c
+            if abs(rows[k][1]) <= tol:
+                alive ^= 1 << k
+                del same[0]
+        elif abs(c) > tol and anti:
+            live = _support(alive)
+            rows = [rows[k] for k in live]
+            rows.insert(live.index(stop), [p, -c])
+            xs, zs, lanes = _lay_out(rows, n)
+            alive = (1 << len(rows)) - 1
         elif abs(c) > tol:
-            rest.insert(k, [v, p.z | p.x << n, -c])
-    return not rest
+            k = len(rows)
+            rows.append([p, -c])
+            for q in _support(p.x):
+                xs[q] |= 1 << k
+            for q in _support(p.z):
+                zs[q] |= 1 << k
+            lanes.setdefault((p.x, p.z), []).append(k)
+            alive |= 1 << k
+    return not alive
 
 
 def cmd_verify(args) -> int:

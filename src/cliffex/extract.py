@@ -12,39 +12,37 @@ of one X int and one Z int per qubit, and of one sign int, belongs to
 the k-th string in input order, so every emitted gate is one
 ``tableau.conj_columns`` step over all waiting strings at once.  No row
 is ever moved: an ``alive`` mask holds the current block's unemitted
-strings.  The current string and its sign are read from its lane; all
-candidates for the next position are scored at once with bit-sliced
-counters; and a tree reads its guiding successors (the chosen candidate,
-then every waiting string in input order) lazily, only on its own
-qubits.  One more counter keeps every lane's weight: a rotation's gates
-act on its support S alone, so its letters on S are taken out to score
-the weight off S and put back after the tree, O(|S| log n) counter steps
-plus one O(n) row read per rotation.  Blocks are cut from columns too.
+strings.  Only the current string and its sign are read from its lane,
+the one O(n) row read per rotation; all candidates for the next
+position are scored at once with bit-sliced counters, and the tree
+splits on the columns' lanes directly.  One more counter keeps every
+lane's weight: a rotation's gates act on its support S alone, so its
+letters on S are taken out to score the weight off S and put back after
+the tree, O(|S| log n) counter steps per rotation.  Blocks are cut from
+columns too.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
 non-identity letters as possible: the tree qubits are grouped by the
-successor's letters, multi-qubit groups are refined recursively against
-later strings, and open group roots are joined control->target in the
-order (Z->Y), (I->X), (Y->X) -- the letter pairs a CNOT conjugation can
-erase.  Within a group whose deeper structure does not matter, qubits
-are chained from the highest index down, leaving the lowest index as
-the group root.
+letters of the chosen successor, and multi-qubit groups are refined
+recursively against later strings, in input order.  A group's guiding
+lane is the lowest lane, past its parent's, on which its letters
+differ: the OR over the group of each qubit's columns XORed with its
+first qubit's, so a tree node costs O(|group|) big-int operations
+however many waiting strings split nothing.  A group no lane splits
+stays open, and open roots are joined control->target in the order
+(Z->Y), (I->X), (Y->X) -- the letter pairs a CNOT conjugation can
+erase -- before the rest are chained into the final root.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 from .circuit import Circuit, Gate, cx, h, inverse, rz, sdg
 from .errors import InvalidSize, LengthMismatch
-from .pauli import PauliString, PauliTerm, _letter_at, _support
-from .tableau import columns, conj_columns
-
-_ROOT_ORDER = ("X", "Y", "I", "Z", None)
-_PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
-_GROUP_ORDER = ("X", "Y", "Z", "I")
+from .pauli import PauliString, PauliTerm, _support
+from .tableau import anticommuting, columns, conj_columns
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,7 @@ def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
     commutes with every member, otherwise it starts a new block.  Terms
     may be reordered inside a block; block boundaries never move.  Over
     the terms' columns, the lanes anticommuting with term k are one
-    parity: the XOR of ``zs[q]`` over its X bits and of ``xs[q]`` over its
-    Z bits (a Y cancels itself), O(weight) big-int XORs per term."""
+    parity, ``tableau.anticommuting``: O(weight) big-int XORs per term."""
     terms = list(terms)
     if not terms:
         raise ValueError("cannot partition an empty term list")
@@ -79,12 +76,7 @@ def _block_cuts(paulis: list[PauliString], xs: list[int], zs: list[int]) -> list
     non-empty ``paulis``, whose columns are ``xs``/``zs``, then their count."""
     starts = [0]
     for k, p in enumerate(paulis):
-        anti = 0
-        for q in _support(p.x):
-            anti ^= zs[q]
-        for q in _support(p.z):
-            anti ^= xs[q]
-        if anti & (1 << k) - (1 << starts[-1]):
+        if anticommuting(xs, zs, p) & (1 << k) - (1 << starts[-1]):
             starts.append(k)
     return starts + [len(paulis)]
 
@@ -100,72 +92,69 @@ def basis_change_gates(p: PauliString) -> list[Gate]:
     return out
 
 
-def _connect_roots(roots: list[tuple[str | None, int]], out: list[tuple[int, int]]) -> int:
-    """Join open subtree roots into one root; returns the final root.
+def _connect_roots(x: list[int], y: list[int], z: list[int], i: list[int],
+                   out: list[tuple[int, int]]) -> int:
+    """Join the open subtree roots, bucketed by letter class and each
+    bucket sorted, into one root; returns it.
 
     Priority pairings fire first (source root consumed, target keeps its
     parity-carrying role), then every leftover chains into the final
-    root, which is the highest-priority class present (X > Y > I > Z).
+    root, which is the lowest qubit of the highest-priority class present
+    (X > Y > I > Z).
     """
-    if len(roots) == 1:
-        return roots[0][1]
-    by: dict[str | None, list[int]] = {"X": [], "Y": [], "Z": [], "I": [], None: []}
-    for cls, q in roots:
-        by[cls].append(q)
-    for src, dst in _PAIRINGS:
-        a, b = by[src], by[dst]
-        k = min(len(a), len(b))
-        if k:
-            a.sort()
-            b.sort()
-            out += zip(a[:k], b)
-            by[src] = a[k:]
-    root = min(next(by[cls] for cls in _ROOT_ORDER if by[cls]))
-    out += [(q, root) for q in sorted(chain.from_iterable(by.values())) if q != root]
+    out += zip(z, y)
+    z = z[len(y):]
+    out += zip(i, x)
+    i = i[len(x):]
+    out += zip(y, x)
+    y = y[len(x):]
+    root = (x or y or i or z)[0]
+    out += [(q, root) for q in sorted(x + y + z + i) if q != root]
     return root
 
 
-def _split_groups(idxs: list[int], gx: int, gz: int) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {"X": [], "Y": [], "Z": [], "I": []}
-    for q in idxs:
-        groups[_letter_at(gx, gz, q)].append(q)
-    return groups
+# bucket of a letter in X, Y, Z, I order, indexed by x_bit + 2*z_bit
+_BUCKET = (3, 0, 2, 1)
 
 
-def _synth_recursive(idxs, level, guidance, out) -> list[tuple[str | None, int]]:
-    """Returns the open roots of a (sub)tree; emits CNOTs into ``out``."""
-    while True:
-        if len(idxs) == 1:
-            return [(None, idxs[0])]
-        g = guidance(level)
-        if g is None:
-            # guidance exhausted: leave every qubit open for the caller's
-            # connection phase instead of fixing an arbitrary chain
-            return [(None, q) for q in idxs]
-        groups = _split_groups(idxs, *g)
-        present = [c for c in _GROUP_ORDER if groups[c]]
-        if len(present) > 1:
-            break
-        level += 1  # single group: the split can only come from deeper guidance
-    roots: list[tuple[str | None, int]] = []
-    for cls in _GROUP_ORDER:
-        grp = groups[cls]
-        if not grp:
-            continue
-        if len(grp) == 1:
-            roots.append((cls, grp[0]))
-        else:
-            roots.extend((cls, q) for _, q in _synth_recursive(grp, level + 1, guidance, out))
-    root = _connect_roots(roots, out)
-    return [(None, root)]
+def _subtree(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int,
+             out: list[tuple[int, int]]) -> list[int]:
+    """Open roots, ascending, of the subtree over the sorted qubits
+    ``grp``; emits its CNOTs into ``out``.  The group splits on the
+    letters of lane ``first`` if they differ on it, else on the lowest
+    lane of ``rest`` where they do; with no such lane it stays open."""
+    if len(grp) == 1:
+        return grp
+    x0, z0, diff = xs[grp[0]], zs[grp[0]], 0
+    for q in grp[1:]:
+        diff |= xs[q] ^ x0 | zs[q] ^ z0
+    # a part of grp differs only on lanes where grp does, so never on
+    # this split's lane or on ``first``, nor on a lane of rest before it
+    rest &= diff
+    if first is not None and diff >> first & 1:
+        lane = first
+    elif rest:
+        lane = (rest & -rest).bit_length() - 1
+    else:
+        return grp
+    buckets = ([], [], [], [])
+    for q in grp:
+        buckets[_BUCKET[(xs[q] >> lane & 1) + 2 * (zs[q] >> lane & 1)]].append(q)
+    for b in buckets:
+        if len(b) > 1:
+            b[:] = _subtree(xs, zs, b, None, rest, out)
+    return [_connect_roots(*buckets, out)]
 
 
-def tree_synthesis(tree_idxs, guides) -> tuple[list[Gate], int]:
+def tree_synthesis(xs: list[int], zs: list[int], tree_idxs, first: int | None, rest: int
+                   ) -> tuple[list[Gate], int]:
     """Synthesize a CNOT parity tree over the qubits ``tree_idxs``, guided
-    by the successor strings ``guides``: (x, z) masks in successor order,
-    already conjugated through every gate before the tree and read only
-    on the tree qubits, drawn lazily as deeper levels need them.  Returns
-    the CNOT gates and the tree root.
+    by the successor strings in the lanes of the columns ``xs``/``zs``
+    (already conjugated through every gate before the tree): lane
+    ``first`` (None for none), then the lanes of the mask ``rest``
+    upward.  Each group of qubits splits by the letters of the first of
+    these lanes that differ on it, and its parts search only the lanes
+    after that one.  Returns the CNOT gates and the tree root.
 
     The gates form a spanning tree of exactly ``len(tree_idxs) - 1``
     CNOTs whose target-directed paths accumulate the parity of every
@@ -174,18 +163,9 @@ def tree_synthesis(tree_idxs, guides) -> tuple[list[Gate], int]:
     idxs = sorted(set(tree_idxs))
     if not idxs:
         raise InvalidSize("tree synthesis needs at least one qubit")
-    pending, seen = iter(guides), []
-
-    def guidance(level: int):
-        while len(seen) < level:
-            g = next(pending, None)
-            if g is None:
-                return None
-            seen.append(g)
-        return seen[level - 1]
-
     out: list[tuple[int, int]] = []
-    root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
+    # open top-level roots chain into the lowest of them
+    root = _connect_roots(_subtree(xs, zs, idxs, first, rest, out), [], [], [], out)
     return [cx(a, b) for a, b in out], root
 
 
@@ -203,7 +183,8 @@ def _add(counter: list[int], lanes: int, k: int = 0) -> None:
 def _sub(counter: list[int], lanes: int, k: int = 0) -> None:
     """``_add``'s borrow-chain twin: subtract 2**k in every lane of ``lanes``."""
     while lanes:
-        counter[k], lanes = counter[k] ^ lanes, ~counter[k] & lanes
+        counter[k] ^= lanes
+        lanes &= counter[k]  # borrow where the digit was 0: ~old & lanes
         k += 1
 
 
@@ -255,25 +236,15 @@ def _score_candidates(xs: list[int], zs: list[int], cand: int, smask: int, off: 
     return (cand & -cand).bit_length() - 1
 
 
-def _read(xs: list[int], zs: list[int], k: int, qubits) -> tuple[int, int]:
-    """Row k's (x, z) masks of the columns ``xs``/``zs`` on ``qubits``."""
+def _read(xs: list[int], zs: list[int], k: int) -> tuple[int, int]:
+    """Row k's (x, z) masks of the columns ``xs``/``zs``."""
     bit, x, z = 1 << k, 0, 0
-    for q in qubits:
+    for q in range(len(xs)):
         if xs[q] & bit:
             x |= 1 << q
         if zs[q] & bit:
             z |= 1 << q
     return x, z
-
-
-def _lanes(first: int | None, rest: int):
-    """``first`` unless None, then every set bit of ``rest`` upward."""
-    if first is not None:
-        yield first
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        yield low.bit_length() - 1
 
 
 def extract(terms) -> ExtractionResult:
@@ -322,25 +293,19 @@ def extract(terms) -> ExtractionResult:
         alive, cur = (1 << size) - 1, 0
         while alive:
             alive ^= 1 << cur
-            (px, pz), neg = _read(xs, zs, cur, range(n)), sign >> cur & 1
+            (px, pz), neg = _read(xs, zs, cur), sign >> cur & 1
             supp = _support(px | pz)
             layer = basis_change_gates(PauliString(n, px, pz))
             sign ^= conj_columns(xs, zs, layer)
-            # S's letters leave the weights until the tree is done; a
-            # string with one letter on all of S splits no group of the
-            # tree and is skipped, so only the others are read
-            mixed = 0
+            # S's letters leave the weights until the tree is done
             for q in supp:
                 _sub(wt, xs[q] | zs[q])
-                mixed |= xs[q] ^ xs[supp[0]] | zs[q] ^ zs[supp[0]]
             nxt, rest = None, later
             if alive:
                 nxt = _score_candidates(xs, zs, alive, px | pz, wt)
                 reorders += alive & -alive != 1 << nxt
                 rest |= alive ^ 1 << nxt
-            first = nxt if alive and mixed >> nxt & 1 else None
-            guides = (_read(xs, zs, k, supp) for k in _lanes(first, rest & mixed))
-            tree, root = tree_synthesis(supp, guides)
+            tree, root = tree_synthesis(xs, zs, supp, nxt, rest)
             sign ^= conj_columns(xs, zs, tree)
             for q in supp:
                 _add(wt, xs[q] | zs[q])

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 from .errors import InvalidSize, LengthMismatch, SchemaError
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# deletes the letters (what is left is invalid); maps them to x or z bits
+_NOT_LETTERS = str.maketrans("", "", "IXYZ")
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 # indexed by x_bit + 2*z_bit
 _BITS_LETTER = "IXZY"
 
@@ -97,12 +100,9 @@ def parse_pauli(text: str) -> PauliString:
         text = text[1:]
     if not text:
         raise SchemaError("empty Pauli word")
-    x = z = 0
-    for q, ch in enumerate(text):
-        try:
-            xb, zb = _LETTER_BITS[ch]
-        except KeyError:
-            raise SchemaError(f"invalid Pauli letter {ch!r} at position {q}") from None
-        x |= xb << q
-        z |= zb << q
-    return PauliString(len(text), x, z, sign)
+    bad = text.translate(_NOT_LETTERS)
+    if bad:
+        ch = bad[0]
+        raise SchemaError(f"invalid Pauli letter {ch!r} at position {text.index(ch)}")
+    word = text[::-1]  # qubit 0 is the lowest bit
+    return PauliString(len(text), int(word.translate(_X_BITS), 2), int(word.translate(_Z_BITS), 2), sign)

@@ -9,7 +9,8 @@ row update of Aaronson & Gottesman, "Improved simulation of stabilizer
 circuits", 2004) exists once, in ``_conj_lanes``; ``conj_columns``, the
 one driver, makes each gate one call over every row.  Extraction's
 waiting rows, absorbed observables and ``replay``'s circuits all go
-through it.
+through it.  ``anticommuting`` finds the rows that anticommute with a
+string as one parity over the columns, for block cuts and ``verify``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,18 @@ def columns(paulis, n: int) -> tuple[list[int], list[int], int]:
             zs[q] |= 1 << k
         sign |= (p.sign < 0) << k
     return xs, zs, sign
+
+
+def anticommuting(xs: list[int], zs: list[int], p: PauliString) -> int:
+    """Lanes of the columns ``xs``/``zs`` whose rows anticommute with
+    ``p``: the XOR of ``zs[q]`` over its X bits and of ``xs[q]`` over its
+    Z bits (a Y cancels itself), O(weight) big-int XORs."""
+    anti = 0
+    for q in _support(p.x):
+        anti ^= zs[q]
+    for q in _support(p.z):
+        anti ^= xs[q]
+    return anti
 
 
 def strings(xs: list[int], zs: list[int], sign: int, count: int) -> list[PauliString]:

@@ -1,15 +1,19 @@
 """Dense-matrix reference implementation for small qubit counts, which
 the tests cross-check the package against.
 
-Everything here but ``_chain_tree`` and ``reference_extract`` is
+Everything here but the tree references and ``reference_extract`` is
 deliberately independent of the extraction machinery so it can falsify
 it: rotation unitaries come straight from the matrix exponential
 identity exp(i*P*t) = cos(t)*I + i*sin(t)*P, and circuits are evaluated
-gate by gate on dense states.  ``_chain_tree`` is the non-recursive tree
-that the candidate scorer's closed form counts the letters of; it groups
-and joins roots with the compiler's own rules.  ``reference_extract`` is
-extraction written one packed row at a time, which ``extract``'s
-bit-sliced columns must reproduce exactly.
+gate by gate on dense states.  ``reference_tree`` is the guided tree
+read one guide row at a time, level by level, which ``tree_synthesis``
+must reproduce on the columns' lanes; ``_chain_tree`` is the
+non-recursive tree that the candidate scorer's closed form counts the
+letters of, grouped and joined by the same rules.  ``reference_extract``
+is extraction written one packed row at a time, which ``extract``'s
+bit-sliced columns must reproduce exactly.  ``same_rotations`` is
+``verify``'s rotation comparison as a walk over a list, which the CLI's
+column form must decide alike.
 
 Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
@@ -23,17 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from cliffex.circuit import Circuit, cx, inverse, rz
-from cliffex.errors import LengthMismatch
-from cliffex.extract import (
-    _GROUP_ORDER,
-    _connect_roots,
-    _split_groups,
-    basis_change_gates,
-    convert_commute_sets,
-    tree_synthesis,
-)
-from cliffex.pauli import PauliString, _support
+from itertools import chain
+
+from cliffex.circuit import Circuit, Gate, cx, inverse, rz
+from cliffex.errors import InvalidSize, LengthMismatch
+from cliffex.extract import basis_change_gates, convert_commute_sets
+from cliffex.pauli import PauliString, _letter_at, _support
 from cliffex.tableau import _conj_lanes
 
 DEFAULT_CAP = 10
@@ -45,6 +44,100 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+_ROOT_ORDER = ("X", "Y", "I", "Z", None)
+_PAIRINGS = (("Z", "Y"), ("I", "X"), ("Y", "X"))
+_GROUP_ORDER = ("X", "Y", "Z", "I")
+
+
+def _connect_roots(roots: list[tuple[str | None, int]], out: list[tuple[int, int]]) -> int:
+    """Join open subtree roots into one root; returns the final root.
+
+    Priority pairings fire first (source root consumed, target keeps its
+    parity-carrying role), then every leftover chains into the final
+    root, which is the highest-priority class present (X > Y > I > Z).
+    """
+    if len(roots) == 1:
+        return roots[0][1]
+    by: dict[str | None, list[int]] = {"X": [], "Y": [], "Z": [], "I": [], None: []}
+    for cls, q in roots:
+        by[cls].append(q)
+    for src, dst in _PAIRINGS:
+        a, b = by[src], by[dst]
+        k = min(len(a), len(b))
+        if k:
+            a.sort()
+            b.sort()
+            out += zip(a[:k], b)
+            by[src] = a[k:]
+    root = min(next(by[cls] for cls in _ROOT_ORDER if by[cls]))
+    out += [(q, root) for q in sorted(chain.from_iterable(by.values())) if q != root]
+    return root
+
+
+def _split_groups(idxs: list[int], gx: int, gz: int) -> dict[str, list[int]]:
+    groups: dict[str, list[int]] = {"X": [], "Y": [], "Z": [], "I": []}
+    for q in idxs:
+        groups[_letter_at(gx, gz, q)].append(q)
+    return groups
+
+
+def _synth_recursive(idxs, level, guidance, out) -> list[tuple[str | None, int]]:
+    """Returns the open roots of a (sub)tree; emits CNOTs into ``out``."""
+    while True:
+        if len(idxs) == 1:
+            return [(None, idxs[0])]
+        g = guidance(level)
+        if g is None:
+            # guidance exhausted: leave every qubit open for the caller's
+            # connection phase instead of fixing an arbitrary chain
+            return [(None, q) for q in idxs]
+        groups = _split_groups(idxs, *g)
+        present = [c for c in _GROUP_ORDER if groups[c]]
+        if len(present) > 1:
+            break
+        level += 1  # single group: the split can only come from deeper guidance
+    roots: list[tuple[str | None, int]] = []
+    for cls in _GROUP_ORDER:
+        grp = groups[cls]
+        if not grp:
+            continue
+        if len(grp) == 1:
+            roots.append((cls, grp[0]))
+        else:
+            roots.extend((cls, q) for _, q in _synth_recursive(grp, level + 1, guidance, out))
+    root = _connect_roots(roots, out)
+    return [(None, root)]
+
+
+def reference_tree(tree_idxs, guides) -> tuple[list[Gate], int]:
+    """Synthesize a CNOT parity tree over the qubits ``tree_idxs``, guided
+    by the successor strings ``guides``: (x, z) masks in successor order,
+    already conjugated through every gate before the tree and read only
+    on the tree qubits, drawn lazily as deeper levels need them.  Returns
+    the CNOT gates and the tree root.
+
+    The gates form a spanning tree of exactly ``len(tree_idxs) - 1``
+    CNOTs whose target-directed paths accumulate the parity of every
+    tree qubit into the root.
+    """
+    idxs = sorted(set(tree_idxs))
+    if not idxs:
+        raise InvalidSize("tree synthesis needs at least one qubit")
+    pending, seen = iter(guides), []
+
+    def guidance(level: int):
+        while len(seen) < level:
+            g = next(pending, None)
+            if g is None:
+                return None
+            seen.append(g)
+        return seen[level - 1]
+
+    out: list[tuple[int, int]] = []
+    root = _connect_roots(_synth_recursive(idxs, 1, guidance, out), out)
+    return [cx(a, b) for a, b in out], root
 
 
 def _chain_tree(idxs, gx: int, gz: int) -> list[tuple[int, int]]:
@@ -147,7 +240,7 @@ def reference_extract(terms) -> tuple[Circuit, Circuit, dict]:
                         lst.insert(i + 1, lst.pop(j))
                     reorders += 1
             supp = _support(px | pz)
-            tree, root = tree_synthesis(supp, [(r & full, r >> n & full) for r in rows[i + 1 :]])
+            tree, root = reference_tree(supp, [(r & full, r >> n & full) for r in rows[i + 1 :]])
             _conj_rows(rows, i + 1, tree, n)
             gates += layer + tree
             gates.append(rz(root, -2.0 * order[i][1].coeff * (-1 if rows[i] >> 2 * n else 1)))
@@ -163,6 +256,38 @@ def reference_extract(terms) -> tuple[Circuit, Circuit, dict]:
     }
     extracted = tuple(inverse(g) for g in reversed(gates) if g.kind != "rz")
     return Circuit(n, tuple(gates)), Circuit(n, extracted), stats
+
+
+def same_rotations(terms, rotations, n: int) -> bool:
+    """True iff the rotations of ``replay`` ((P, t) for exp(-i t/2 P), in
+    time order) multiply to the input's rotations exp(i c P), in input
+    order.  Each input term in turn starts at the front of the remaining
+    rotations and passes those it commutes with: on its own string it
+    takes its angle off that rotation, and on one it does not commute
+    with, or at the end, it stays there with its angle negated.  A
+    rotation whose coefficient is within 1e-9 max(1, |c|) of zero is
+    dropped; the products are equal when no rotation is left.
+    """
+    # [packed string, the string with x and z swapped, coefficient]; a
+    # string anticommutes with v iff v & its swap has odd weight
+    rest = [[p.x | p.z << n, p.z | p.x << n, -0.5 * t * p.sign] for p, t in rotations]
+    for term in terms:
+        p = term.pauli
+        v = p.x | p.z << n
+        if not v:  # the identity only adds a global phase
+            continue
+        c = term.coeff * p.sign
+        tol = 1e-9 * max(1.0, abs(c))
+        k = 0
+        while k < len(rest) and rest[k][0] != v and not (v & rest[k][1]).bit_count() & 1:
+            k += 1
+        if k < len(rest) and rest[k][0] == v:
+            rest[k][2] -= c
+            if abs(rest[k][2]) <= tol:
+                del rest[k]
+        elif abs(c) > tol:
+            rest.insert(k, [v, p.z | p.x << n, -c])
+    return not rest
 
 
 def _check_cap(n: int) -> None:

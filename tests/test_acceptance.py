@@ -104,7 +104,8 @@ def test_guided_tree_fixture_strings():
     gates_nr = [cx(c, t) for c, t in _chain_tree(list(range(7)), p2p.x, p2p.z)]
     ok = ok and conjugate(layer + gates_nr, p2).letters() == "IIIIXYX"
 
-    gates_r, _ = tree_synthesis(range(7), [(p.x, p.z) for p in (p2p, p3p)])
+    xs, zs, _ = columns([p2p, p3p], 7)
+    gates_r, _ = tree_synthesis(xs, zs, range(7), 0, 0b10)
     ok = ok and conjugate(layer + gates_r, p3).letters() == "IIXXIYX"
     report("guided-tree fixture strings (exact)", ok, signs)
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffex import load_terms, native_circuit, parse_pauli
-from cliffex.cli import main
+from cliffex.cli import _same_rotations, main
 from cliffex.circuit import Circuit, cnot_count, cx, emit_qasm, h, parse_qasm
+from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import replay
 
-from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase
+from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, same_rotations
 
 
 def run(*argv):
@@ -351,6 +353,63 @@ def test_verify_mutated_artifact_exits_1(tmp_path, capsys, nodes, degree, mutati
     capsys.readouterr()
     assert run("verify", inp, "--report", tmp_path / "report.json") == 1
     assert f"FAIL  {check}" in capsys.readouterr().out
+
+
+@st.composite
+def _rotation_lists(draw):
+    """Input terms and the replayed rotations (P, t) of exp(-i t/2 P) that
+    multiply to them, then edited: rotations dropped or swapped (commuting
+    neighbours or any), a rotation split into two of its string, pairs of
+    rotations or of terms that sum to zero, and angles nudged by more or
+    less than the tolerance.  Few distinct words make strings repeat; up
+    to 90 rotations on up to 70 qubits cross machine-word lanes."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 64, 70]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    letters = draw(st.sampled_from(["IZ", "XZ", "IXYZ"]))
+    width = min(n, 3)
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        word = ["I"] * n
+        for q in rng.sample(range(n), width):
+            word[q] = rng.choice(letters)
+        pool.append("".join(word))
+    terms, rots = [], []
+    for _ in range(draw(st.sampled_from([0, 1, 4, 12, 30, 90]))):
+        coeff = rng.choice([0.0, 1e-12, rng.uniform(-2, 2)])
+        t = PauliTerm(parse_pauli(rng.choice("+-") + rng.choice(pool)), coeff)
+        terms.append(t)
+        if t.pauli.weight():
+            sr = rng.choice([1, -1])
+            rots.append((PauliString(n, t.pauli.x, t.pauli.z, sr), -2.0 * coeff * t.pauli.sign * sr))
+    for edit in draw(st.lists(st.sampled_from(
+            ["drop", "swap", "commuting swap", "split", "zero pair", "zero terms", "nudge"]), max_size=3)):
+        k = rng.randrange(len(rots) + 1)
+        if edit == "zero terms":
+            p = parse_pauli(rng.choice(pool))
+            terms[k:k] = [PauliTerm(p, 0.7), PauliTerm(p, -0.7)]
+        elif edit == "zero pair" and rots[k - 1:k]:
+            p, t = rots[k - 1]
+            rots[k:k] = [(p, 0.9), (p, -0.9)]
+        elif k == len(rots):
+            continue
+        elif edit == "drop":
+            del rots[k]
+        elif edit == "split":
+            p, t = rots[k]
+            rots[k:k + 1] = [(p, t / 3), (p, t - t / 3)]
+        elif edit == "nudge":
+            p, t = rots[k]
+            rots[k] = (p, t * (1 + rng.choice([1e-13, 1e-6])) + rng.choice([0.0, 1e-10, 1e-3]))
+        elif k + 1 < len(rots) and (edit == "swap" or rots[k][0].commutes(rots[k + 1][0])):
+            rots[k], rots[k + 1] = rots[k + 1], rots[k]
+    return terms, rots, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rotation_lists())
+def test_same_rotations_matches_the_walk(case):
+    terms, rots, n = case
+    assert _same_rotations(terms, rots, n) == same_rotations(terms, rots, n)
 
 
 def test_verify_generated_instances_end_to_end(tmp_path):

@@ -24,7 +24,14 @@ from cliffex import (
     sdg,
 )
 from cliffex.errors import InvalidSize, LengthMismatch
-from cliffex.extract import _chain_weight, _score_candidates, basis_change_gates, tree_synthesis
+from cliffex.extract import (
+    _add,
+    _chain_weight,
+    _score_candidates,
+    _sub,
+    basis_change_gates,
+    tree_synthesis,
+)
 from cliffex.pauli import PauliString, PauliTerm, _support
 from cliffex.tableau import columns, conj_columns, strings as column_strings
 
@@ -34,6 +41,7 @@ from oracle import (
     dense_pauli,
     equivalent_up_to_phase,
     reference_extract,
+    reference_tree,
     rotation_unitary,
 )
 
@@ -144,11 +152,12 @@ def test_basis_extraction_strings(seven_qubit_setup):
     assert p3p.letters() == "YZYXIYX" and p3p.sign == -1
 
 
-def _rows(gates, *paulis):
-    """``paulis`` conjugated through ``gates``, as the (x, z) masks that
-    ``tree_synthesis`` reads its guidance from."""
-    images = [_conjugate(gates, p) for p in paulis]
-    return [(p.x, p.z) for p in images]
+def _cols(gates, *paulis):
+    """The columns ``tree_synthesis`` reads its guidance from: lane k
+    holds paulis[k] conjugated through ``gates``."""
+    xs, zs, _ = columns(paulis, paulis[0].n)
+    conj_columns(xs, zs, gates)
+    return xs, zs
 
 
 def _chain_gates(idxs, guide, gates):
@@ -173,7 +182,7 @@ def test_nonrecursive_tree(seven_qubit_setup):
 
 def test_recursive_tree(seven_qubit_setup):
     p1, p2, p3, layer = seven_qubit_setup
-    gates, root = tree_synthesis(range(7), _rows(layer, p2, p3))
+    gates, root = tree_synthesis(*_cols(layer, p2, p3), range(7), 0, 0b10)
     assert len(gates) == 6
     assert _conjugate(layer + gates, p2).letters() == "IIIIXYX"
     assert _conjugate(layer + gates, p3).letters() == "IIXXIYX"
@@ -185,7 +194,7 @@ def test_tree_is_spanning(seven_qubit_setup):
     p1, p2, p3, layer = seven_qubit_setup
     for gates, root in (
         _chain_gates(range(7), p2, layer),
-        tree_synthesis(range(7), _rows(layer, p1, p2, p3)[1:]),
+        tree_synthesis(*_cols(layer, p1, p2, p3), range(7), 1, 0b100),
     ):
         assert len(gates) == 6
         # every qubit appears as a control exactly once except the root,
@@ -205,13 +214,71 @@ def test_tree_is_spanning(seven_qubit_setup):
 
 
 def test_tree_singleton():
-    gates, root = tree_synthesis([5], _rows([], parse_pauli("IIIIIZ"))[1:])
+    gates, root = tree_synthesis(*_cols([], parse_pauli("IIIIIZ")), [5], None, 0)
     assert gates == [] and root == 5
 
 
 def test_tree_empty_raises():
     with pytest.raises(InvalidSize):
-        tree_synthesis([], _rows([], parse_pauli("Z"))[1:])
+        tree_synthesis(*_cols([], parse_pauli("Z")), [], None, 0)
+
+
+@st.composite
+def _tree_case(draw):
+    """Columns of up to 200 strings on up to 100 qubits, a tree support S
+    and guide lanes (``first``, ``rest``): ``first`` absent, above every
+    lane of ``rest``, with one letter on all of S, or anywhere, and few
+    or sparse lanes, so that guidance runs out.  Narrow letter sets and
+    lanes uniform on S leave many strings that split nothing."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 63, 64, 65, 100]))
+    m = draw(st.sampled_from([0, 1, 2, 5, 30, 64, 65, 140, 200]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    supp = sorted(rng.sample(range(n), draw(st.integers(1, n))))
+    letters = draw(st.sampled_from(["IZ", "XZ", "IY", "IXYZ"]))
+    uniform = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    words = []
+    for _ in range(m):
+        word = [rng.choice("IXYZ") for _ in range(n)]
+        one = rng.choice(letters)
+        for q in supp:
+            word[q] = one if rng.random() < uniform else rng.choice(letters)
+        words.append(word)
+    mode = draw(st.sampled_from(["none", "above", "uniform", "any"])) if m else "none"
+    first = None if mode == "none" else m - 1 if mode == "above" else rng.randrange(m)
+    if mode == "uniform":
+        for q in supp:
+            words[first][q] = words[first][supp[0]]
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rest = sum(1 << k for k in range(m) if k != first and rng.random() < density)
+    paulis = [parse_pauli("".join(w)) for w in words] or [PauliString(n)]
+    return paulis, supp, first, rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_case())
+def test_tree_matches_the_guide_row_reference(case):
+    paulis, supp, first, rest = case
+    xs, zs, _ = columns(paulis, paulis[0].n)
+    lanes = ([] if first is None else [first]) + _support(rest)
+    guides = [(paulis[k].x, paulis[k].z) for k in lanes]
+    assert tree_synthesis(xs, zs, supp, first, rest) == reference_tree(supp, guides)
+
+
+def test_extract_reads_one_row_per_rotation(monkeypatch):
+    # the current string is the only row read; trees split on lanes
+    module = importlib.import_module("cliffex.extract")
+    calls = {"reads": 0}
+    read = module._read
+
+    def counted(*args):
+        calls["reads"] += 1
+        return read(*args)
+
+    monkeypatch.setattr(module, "_read", counted)
+    rng = np.random.default_rng(7)
+    terms = _random_terms(rng, 6, 40) + [term(w) for w in ("ZZZZZI", "IZZZZZ", "ZIZIZI", "XXIIII")]
+    stats = module.extract(terms).stats
+    assert calls["reads"] == stats["rotations"] == len(terms)
 
 
 # ------------------------------------------------------- candidate choice
@@ -470,6 +537,32 @@ def test_chain_weight_matches_chain_tree_on_sparse_supports(n):
             x &= rng.getrandbits(n) | rng.getrandbits(n)
             z &= rng.getrandbits(n) | rng.getrandbits(n)
         assert _one_row_weight(x, z, smask, n) == _chain_tree_weight(x, z, smask), (n, x, z, smask)
+
+
+def _lane_values(counter, width):
+    return [sum((d >> j & 1) << k for k, d in enumerate(counter)) for j in range(width)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(65, 300), st.integers(0, 4), st.data())
+def test_add_and_sub_round_trip_per_lane(width, k, data):
+    values = data.draw(st.lists(st.integers(0, 40), min_size=width, max_size=width))
+    lanes = data.draw(st.integers(0, 2**width - 1))
+    counter = []
+    for j, v in enumerate(values):
+        for b in range(v.bit_length()):
+            if v >> b & 1:
+                _add(counter, 1 << j, b)
+    assert _lane_values(counter, width) == values
+    on = [lanes >> j & 1 for j in range(width)]
+    _add(counter, lanes, k)
+    assert _lane_values(counter, width) == [v + (b << k) for v, b in zip(values, on)]
+    _sub(counter, lanes, k)
+    assert _lane_values(counter, width) == values
+    # and the other way round, where no lane goes below zero
+    big = sum(1 << j for j, v in enumerate(values) if v >= 1 << k) & lanes
+    _sub(counter, big, k)
+    assert _lane_values(counter, width) == [v - ((big >> j & 1) << k) for j, v in enumerate(values)]
 
 
 def test_extract_module_is_patched_through_importlib(monkeypatch):

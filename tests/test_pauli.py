@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import PauliString, PauliTerm, parse_pauli
 from cliffex.errors import LengthMismatch, SchemaError
@@ -28,6 +30,45 @@ def test_parse_sign_prefix():
 def test_parse_rejects(bad):
     with pytest.raises(SchemaError):
         parse_pauli(bad)
+
+
+def _loop_parse(text: str) -> PauliString:
+    """``parse_pauli`` as a per-letter loop, the reference for its string form."""
+    sign = 1
+    if text[:1] in ("+", "-", "−"):
+        if text[0] != "+":
+            sign = -1
+        text = text[1:]
+    if not text:
+        raise SchemaError("empty Pauli word")
+    x = z = 0
+    bits = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    for q, ch in enumerate(text):
+        try:
+            xb, zb = bits[ch]
+        except KeyError:
+            raise SchemaError(f"invalid Pauli letter {ch!r} at position {q}") from None
+        x |= xb << q
+        z |= zb << q
+    return PauliString(len(text), x, z, sign)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["", "+", "-", "−"]),
+    st.one_of(st.text("IXYZ", max_size=80), st.text("IXYZ_ \txyzi１", max_size=12)),
+)
+def test_parse_matches_the_letter_loop(sign, word):
+    # covers empty and sign-only words, int()'s own separators (_ and
+    # blanks), lowercase letters and a non-ASCII digit
+    assert _outcome(parse_pauli, sign + word) == _outcome(_loop_parse, sign + word)
 
 
 def test_label_roundtrip():
