@@ -192,17 +192,23 @@ def peephole(c: Circuit) -> Circuit:
             return Circuit(c.n, tuple(gates))
 
 
-def emit_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text; angles are printed at 17 significant digits."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.n}];"]
-    for g in c.gates:
+def _qasm_gates(gates) -> str:
+    """The OpenQASM 2.0 statements of ``gates``, one line each, each line
+    ending in a newline; angles are printed at 17 significant digits."""
+    lines = []
+    for g in gates:
         if g.kind == "cx":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
+            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];\n")
         elif g.kind == "rz":
-            lines.append(f"rz({g.theta:.17g}) q[{g.qubits[0]}];")
+            lines.append(f"rz({g.theta:.17g}) q[{g.qubits[0]}];\n")
         else:
-            lines.append(f"{g.kind} q[{g.qubits[0]}];")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{g.kind} q[{g.qubits[0]}];\n")
+    return "".join(lines)
+
+
+def emit_qasm(c: Circuit) -> str:
+    """OpenQASM 2.0 text: the header, then ``_qasm_gates`` of the gates."""
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{c.n}];\n' + _qasm_gates(c.gates)
 
 
 # a gate statement with its ';', surrounding blanks and trailing comment:

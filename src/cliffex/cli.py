@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -27,7 +29,8 @@ from .absorb import (
     map_expectations,
     postprocess_counts,
 )
-from .circuit import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, sdg
+from .circuit import (Circuit, _qasm_gates, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm,
+                      peephole, sdg)
 from .errors import CliffexError, NotReducible, SchemaError
 from .extract import basis_change_gates, extract, native_circuit
 from .pauli import _support
@@ -70,19 +73,46 @@ def _write_counts(path, hist: CountsHistogram) -> None:
         f.write(f',\n  "n": {hist.n},\n  "shots": {hist.shots}\n}}\n')
 
 
+def _file_key(path, dirs: dict[str, str | None]) -> tuple[object, bool]:
+    """The identity of the file at ``path``, and whether one can be
+    written there (the path is no directory, and its directory is one).
+    A file that exists is its (device, inode) from one stat, which follows
+    symlinks, so a symlink or a hard link to it matches it.  A new path is
+    its directory's real path, kept in ``dirs`` per directory string (None
+    for a non-directory), joined with its name; a dangling symlink is the
+    real path of the file it would create.  Any other stat error, such as
+    a symlink loop, is raised: no file can be written there."""
+    p = os.fspath(path) or "."
+    while len(p) > 1 and p.endswith(("/", "/.")):  # as pathlib spells it
+        p = p[:-1]
+    try:
+        st = os.stat(p)
+        return (st.st_dev, st.st_ino), not stat.S_ISDIR(st.st_mode)
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    head, name = os.path.split(p)
+    if head not in dirs:
+        dirs[head] = os.path.realpath(head or ".") if os.path.isdir(head or ".") else None
+    real = dirs[head]
+    key = os.path.realpath(p) if os.path.islink(p) else os.path.join(real or head, name)
+    return key, real is not None
+
+
 def _check_outputs(inputs: dict[str, str], outputs) -> None:
     """Raise CliffexError unless every output is a path in an existing
     directory and no two of them, nor an output and one of ``inputs``
-    (path -> how to name it), are the same file.  A command calls this
-    before it writes anything, so a bad path overwrites no file."""
-    seen = {Path(path).resolve(): what for path, what in inputs.items()}
+    (path -> how to name it), are the same file by ``_file_key``.  A
+    command calls this before it writes anything, so a bad path
+    overwrites no file."""
+    dirs: dict[str, str | None] = {}
+    seen = {_file_key(path, dirs)[0]: what for path, what in inputs.items()}
     for path in outputs:
-        if not Path(path).parent.is_dir() or Path(path).is_dir():
+        key, writable = _file_key(path, dirs)
+        if not writable:
             raise CliffexError(f"cannot write {path}: no such directory, or the path is one")
-        target = Path(path).resolve()
-        if target in seen:
-            raise CliffexError(f"cannot write {path}: it is the same file as {seen[target]}")
-        seen[target] = path
+        if key in seen:
+            raise CliffexError(f"cannot write {path}: it is the same file as {seen[key]}")
+        seen[key] = path
 
 
 def _digest(path) -> str:
@@ -168,10 +198,13 @@ def cmd_optimize(args) -> int:
         ]
         layers = [r.basis_layer for r in records]
 
-    Path(args.out).write_text(emit_qasm(opt), encoding="utf-8")
+    # each executed file is emit_qasm of opt plus its layer, byte for
+    # byte, with opt formatted once
+    text = emit_qasm(opt)
+    Path(args.out).write_text(text, encoding="utf-8")
     Path(args.clifford).write_text(emit_qasm(result.extracted), encoding="utf-8")
-    for path, circ in zip(exec_paths, _executed(opt, layers)):
-        Path(path).write_text(emit_qasm(circ), encoding="utf-8")
+    for path, layer in zip(exec_paths, layers):
+        Path(path).write_text(text + _qasm_gates(layer), encoding="utf-8")
     _write_json(args.report, report)
     m = report["metrics"]
     print(

@@ -117,14 +117,12 @@ def _connect_roots(x: list[int], y: list[int], z: list[int], i: list[int],
 _BUCKET = (3, 0, 2, 1)
 
 
-def _subtree(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int,
-             out: list[tuple[int, int]]) -> list[int]:
-    """Open roots, ascending, of the subtree over the sorted qubits
-    ``grp``; emits its CNOTs into ``out``.  The group splits on the
-    letters of lane ``first`` if they differ on it, else on the lowest
-    lane of ``rest`` where they do; with no such lane it stays open."""
-    if len(grp) == 1:
-        return grp
+def _split(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int
+           ) -> tuple[tuple[list[int], ...], int] | None:
+    """The letter buckets (X, Y, Z, I) of the sorted qubits ``grp`` on the
+    lane ``first`` if their letters differ there, else on the lowest lane
+    of ``rest`` where they do, with the lanes its parts search; None when
+    no such lane is left and ``grp`` stays open."""
     x0, z0, diff = xs[grp[0]], zs[grp[0]], 0
     for q in grp[1:]:
         diff |= xs[q] ^ x0 | zs[q] ^ z0
@@ -136,14 +134,38 @@ def _subtree(xs: list[int], zs: list[int], grp: list[int], first: int | None, re
     elif rest:
         lane = (rest & -rest).bit_length() - 1
     else:
-        return grp
+        return None
     buckets = ([], [], [], [])
     for q in grp:
         buckets[_BUCKET[(xs[q] >> lane & 1) + 2 * (zs[q] >> lane & 1)]].append(q)
-    for b in buckets:
-        if len(b) > 1:
-            b[:] = _subtree(xs, zs, b, None, rest, out)
-    return [_connect_roots(*buckets, out)]
+    return buckets, rest
+
+
+def _subtree(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int,
+             out: list[tuple[int, int]]) -> list[int]:
+    """Open roots, ascending, of the subtree over the sorted qubits
+    ``grp``; emits its CNOTs into ``out``.  A node's buckets of two or
+    more qubits are ``_split`` and built in order, depth first, before
+    their roots are joined.  The stack holds the nodes on the way down,
+    so a tree of any depth fits."""
+    node = _split(xs, zs, grp, first, rest)
+    if node is None:
+        return grp
+    buckets, rest = node
+    todo, into, stack = iter(buckets), None, []
+    while True:
+        for b in todo:
+            if len(b) > 1 and (node := _split(xs, zs, b, None, rest)):
+                stack.append((buckets, rest, todo, into))
+                (buckets, rest), into = node, b
+                todo = iter(buckets)
+                break
+        else:
+            root = _connect_roots(*buckets, out)
+            if not stack:
+                return [root]
+            into[:] = [root]  # the bucket's qubits joined into one root
+            buckets, rest, todo, into = stack.pop()
 
 
 def tree_synthesis(xs: list[int], zs: list[int], tree_idxs, first: int | None, rest: int

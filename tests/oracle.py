@@ -13,7 +13,9 @@ letters of, grouped and joined by the same rules.  ``reference_extract``
 is extraction written one packed row at a time, which ``extract``'s
 bit-sliced columns must reproduce exactly.  ``same_rotations`` is
 ``verify``'s rotation comparison as a walk over a list, which the CLI's
-column form must decide alike.
+column form must decide alike.  ``outputs_by_name`` is the CLI's
+output-path check as it compared resolved path names, which the
+stat-based check must decide alike on every path but a hard link.
 
 Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from itertools import chain
+from pathlib import Path
 
 from cliffex.circuit import Circuit, Gate, cx, inverse, rz
 from cliffex.errors import InvalidSize, LengthMismatch
@@ -288,6 +291,21 @@ def same_rotations(terms, rotations, n: int) -> bool:
         elif abs(c) > tol:
             rest.insert(k, [v, p.z | p.x << n, -c])
     return not rest
+
+
+def outputs_by_name(inputs: dict[str, str], outputs) -> str | None:
+    """The error the output-path check gives, or None: every output must
+    be a path in an existing directory, and no two of them, nor an output
+    and an input (path -> how to name it), may resolve to one name."""
+    seen = {Path(path).resolve(): what for path, what in inputs.items()}
+    for path in outputs:
+        if not Path(path).parent.is_dir() or Path(path).is_dir():
+            return f"cannot write {path}: no such directory, or the path is one"
+        target = Path(path).resolve()
+        if target in seen:
+            return f"cannot write {path}: it is the same file as {seen[target]}"
+        seen[target] = path
+    return None
 
 
 def _check_cap(n: int) -> None:

@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
+import os
 import random
 import re
 import subprocess
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 from cliffex import load_terms, native_circuit, parse_pauli
 from cliffex.cli import _same_rotations, main
 from cliffex.circuit import Circuit, cnot_count, cx, emit_qasm, h, parse_qasm
+from cliffex.errors import CliffexError
 from cliffex.pauli import PauliString, PauliTerm
 from cliffex.tableau import replay
 
-from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, same_rotations
+from oracle import circuit_unitary, dense_pauli, equivalent_up_to_phase, outputs_by_name, same_rotations
 
 
 def run(*argv):
@@ -999,6 +1002,154 @@ def test_optimize_bad_output_path_writes_nothing(tmp_path, capsys, triangle_inpu
         err = capsys.readouterr().err
         assert _one_error_line_in(err) and "is the same file as" in err
         assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def _io_files(tmp_path):
+    """A report for both modes, a counts file and a values file in tmp_path."""
+    report = write_json(tmp_path / "report.json", {
+        "num_qubits": 2,
+        "absorption": {"h_mask": [0], "network": [[0, 1]]},
+        "observables": [{"original": "XZ", "transformed": "-ZX", "basis_layer": []}],
+    })
+    counts = write_json(tmp_path / "counts.json", {"n": 2, "shots": 5, "counts": {"10": 5}})
+    values = write_json(tmp_path / "values.json", {"values": [0.5]})
+    return report, counts, values
+
+
+@pytest.mark.parametrize("command, target", [
+    ("optimize", "tri.json"),
+    ("postprocess", "counts.json"), ("postprocess", "report.json"),
+    ("map-expectations", "values.json"), ("map-expectations", "report.json"),
+])
+def test_output_hard_linked_to_an_input_exits_2(tmp_path, capsys, triangle_input, command, target):
+    # a hard link has its own name, so only the file's identity shows
+    # that writing it would replace the input
+    report, counts, values = _io_files(tmp_path)
+    link = tmp_path / "link.json"
+    os.link(tmp_path / target, link)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = {
+        "optimize": _opt_args(tmp_path, triangle_input, "--report", link),
+        "postprocess": ("postprocess", counts, "--report", report, "--out", link),
+        "map-expectations": ("map-expectations", values, "--report", report, "--out", link),
+    }[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line_in(err) and "is the same file as the" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_optimize_output_symlinks(tmp_path, capsys, triangle_input):
+    # a symlink to the input, a dangling symlink to another output, and
+    # an output reached through a symlinked directory are all refused
+    (tmp_path / "to-input").symlink_to(triangle_input)
+    (tmp_path / "dangling").symlink_to(tmp_path / "clifford.qasm")
+    (tmp_path / "ldir").symlink_to(tmp_path, target_is_directory=True)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    for extra, what in (
+        (("--report", tmp_path / "to-input"), "the input"),
+        (("--report", tmp_path / "dangling"), tmp_path / "clifford.qasm"),
+        (("--report", tmp_path / "ldir" / "clifford.qasm"), tmp_path / "clifford.qasm"),
+    ):
+        assert run(*_opt_args(tmp_path, triangle_input, *extra)) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line_in(err) and f"is the same file as {what}" in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    # a symlink loop is a one-line error before anything is written
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    assert run(*_opt_args(tmp_path, triangle_input, "--report", tmp_path / "loop")) == 2
+    assert _one_error_line(capsys)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    # a dangling symlink to a fresh name is written through, creating it
+    (tmp_path / "to-new").symlink_to(tmp_path / "new.json")
+    assert run(*_opt_args(tmp_path, triangle_input, "--report", tmp_path / "to-new")) == 0
+    assert json.loads((tmp_path / "new.json").read_text())["num_qubits"] == 3
+    # once the outputs exist, the symlinked directory still reaches them
+    assert run(*_opt_args(tmp_path, triangle_input, "--out", tmp_path / "ldir" / "clifford.qasm")) == 2
+    assert "is the same file as" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outputs", [
+    ("./x.qasm", "x.qasm"), ("d/../x.qasm", "x.qasm"), ("d/./x.qasm", "d/x.qasm"),
+    ("x.qasm/", "x.qasm"), ("x.qasm/.", "x.qasm"), ("x.qasm//", "d/x.qasm"),
+    ("ABS/x.qasm", "./x.qasm"), ("d/x.qasm", "ldir/x.qasm"), ("dangling", "new.qasm"),
+    ("old.qasm", "./old.qasm"), ("old.qasm/", "d/../old.qasm"), ("d/old.qasm", "ldir/old.qasm"),
+    ("d/../in.json",), ("in.json/",), ("link",), ("ABS/in.json",), ("to-old", "old.qasm"),
+    ("nodir/x.qasm",), ("nodir/../x.qasm",), ("in.json/x.qasm",), ("x.qasm", "in.json/.."),
+    ("d",), ("d/",), ("ldir",), ("d/..",), (".",), ("",), ("/",), ("ABS",),
+], ids=lambda outputs: "|".join(outputs))
+def test_output_check_matches_the_resolved_name_rule(tmp_path, monkeypatch, outputs):
+    # on every path but a hard link, one stat per file decides as the
+    # resolved-name rule did, message for message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for name in ("in.json", "old.qasm", "d/old.qasm"):
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "link").symlink_to("in.json")
+    (tmp_path / "to-old").symlink_to("d/../old.qasm")
+    (tmp_path / "dangling").symlink_to("d/../new.qasm")
+    (tmp_path / "ldir").symlink_to("d", target_is_directory=True)
+    outputs = [p.replace("ABS", str(tmp_path)) for p in outputs]
+    inputs = {"in.json": "the input in.json", "d/old.qasm": "the report d/old.qasm"}
+    cli = importlib.import_module("cliffex.cli")
+    try:
+        cli._check_outputs(inputs, outputs)
+        verdict = None
+    except CliffexError as exc:
+        verdict = str(exc)
+    assert verdict == outputs_by_name(inputs, outputs)
+
+
+def test_output_check_stats_instead_of_resolving(tmp_path, monkeypatch):
+    # one check resolves no Path and each distinct directory string at
+    # most once, however many new files it holds
+    cli = importlib.import_module("cliffex.cli")
+    pathlib = importlib.import_module("pathlib")
+    posixpath = importlib.import_module("os.path")
+    calls = {"resolve": 0, "realpath": []}
+    resolve, realpath = pathlib.Path.resolve, posixpath.realpath
+
+    def counted_resolve(self, *args, **kwargs):
+        calls["resolve"] += 1
+        return resolve(self, *args, **kwargs)
+
+    def counted_realpath(path, *args, **kwargs):
+        calls["realpath"].append(os.fspath(path))
+        return realpath(path, *args, **kwargs)
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "in.json").write_text("{}")
+    (tmp_path / "b" / "old.qasm").write_text("")
+    monkeypatch.setattr(pathlib.Path, "resolve", counted_resolve)
+    monkeypatch.setattr(posixpath, "realpath", counted_realpath)
+    outputs = [str(tmp_path / d / f"{k}.qasm") for d in ("a", "b") for k in range(4)]
+    cli._check_outputs({str(tmp_path / "in.json"): "the input"}, outputs + [str(tmp_path / "b" / "old.qasm")])
+    assert calls["resolve"] == 0
+    assert len(calls["realpath"]) == len(set(calls["realpath"])) <= 2
+
+
+def test_optimize_formats_opt_once(tmp_path, monkeypatch, xyz_input):
+    # with three observables, each gate of opt, of the Clifford and of
+    # each basis layer is formatted once: the executed files append
+    # their layers to opt's text
+    cli = importlib.import_module("cliffex.cli")
+    formatted = []
+
+    def recorded(fn):
+        def call(arg):
+            formatted.append(arg.gates if isinstance(arg, Circuit) else tuple(arg))
+            return fn(arg)
+        return call
+
+    for name in ("emit_qasm", "_qasm_gates"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    opt = parse_qasm((tmp_path / "opt.qasm").read_text())
+    cliff = parse_qasm((tmp_path / "clifford.qasm").read_text())
+    layers = [rec["basis_layer"] for rec in json.loads((tmp_path / "report.json").read_text())["observables"]]
+    assert opt.gates and len(layers) == 3
+    assert sum(map(len, formatted)) == len(opt.gates) + len(cliff.gates) + sum(map(len, layers))
 
 
 def test_verify_checks_input_digest(tmp_path, capsys, triangle_input):

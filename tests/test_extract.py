@@ -23,6 +23,7 @@ from cliffex import (
     s,
     sdg,
 )
+from cliffex.cli import _same_rotations
 from cliffex.errors import InvalidSize, LengthMismatch
 from cliffex.extract import (
     _add,
@@ -33,7 +34,7 @@ from cliffex.extract import (
     tree_synthesis,
 )
 from cliffex.pauli import PauliString, PauliTerm, _support
-from cliffex.tableau import columns, conj_columns, strings as column_strings
+from cliffex.tableau import columns, conj_columns, replay, strings as column_strings
 
 from oracle import (
     _chain_tree,
@@ -263,6 +264,32 @@ def test_tree_matches_the_guide_row_reference(case):
     guides = [(paulis[k].x, paulis[k].z) for k in lanes]
     assert tree_synthesis(xs, zs, supp, first, rest) == reference_tree(supp, guides)
 
+
+def _peeling(n):
+    """Z on every qubit, then Z on each qubit alone: every guide peels one
+    qubit off the first string's tree, which is n - 1 levels deep."""
+    return [term("Z" * n, 0.1)] + [term("I" * q + "Z" + "I" * (n - q - 1), 0.2 + q / n)
+                                   for q in range(n)]
+
+
+def test_tree_deeper_than_the_recursion_limit():
+    # 1100 levels are past Python's recursion limit: extract still
+    # returns a circuit that replays to the input's rotations
+    n = 1100
+    terms = _peeling(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = extract(terms)
+    images, rotations = replay(res.opt_circuit.gates + res.extracted.gates, n)
+    assert images == replay((), n)[0] and _same_rotations(terms, rotations, n)
+    # below the limit, the recursive reference emits the same CNOTs in
+    # the same order
+    n = 600
+    paulis = [t.pauli for t in _peeling(n)[1:]]
+    xs, zs, _ = columns(paulis, n)
+    supp = list(range(n))
+    tree = tree_synthesis(xs, zs, supp, None, (1 << n) - 1)
+    assert len(tree[0]) == n - 1 and tree == reference_tree(supp, [(p.x, p.z) for p in paulis])
 
 def test_extract_reads_one_row_per_rotation(monkeypatch):
     # the current string is the only row read; trees split on lanes
