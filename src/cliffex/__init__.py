@@ -30,7 +30,6 @@ from .circuit import (
 from .extract import (
     ExtractionResult,
     basis_change_gates,
-    convert_commute_sets,
     extract,
     native_circuit,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "absorb_probabilities",
     "basis_change_gates",
     "cnot_count",
-    "convert_commute_sets",
     "cx",
     "emit_qasm",
     "entangling_depth",

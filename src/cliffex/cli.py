@@ -29,8 +29,8 @@ from .absorb import (
     map_expectations,
     postprocess_counts,
 )
-from .circuit import (Circuit, _qasm_gates, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm,
-                      peephole, sdg)
+from .circuit import (Circuit, Gate, _qasm_gates, cnot_count, cx, emit_qasm, entangling_depth, h,
+                      parse_qasm, peephole, sdg)
 from .errors import CliffexError, NotReducible, SchemaError
 from .extract import basis_change_gates, extract, native_circuit
 from .pauli import _support
@@ -126,10 +126,20 @@ def _executed_paths(out_path: str, mode: str, count: int) -> list[str]:
     return [f"{stem}.obs{k}.qasm" for k in range(count)]
 
 
-def _executed(opt: Circuit, layers) -> list[Circuit]:
-    """The circuits that are run: ``opt`` followed by each measurement
-    basis layer (probabilities mode has one, H on the mask in qubit order)."""
-    return [Circuit(opt.n, opt.gates + tuple(layer)) for layer in layers]
+_METRICS = ("cnot_after", "entangling_depth_after", "cnot_before", "entangling_depth_before",
+            "rotation_count")
+
+
+def _metrics(opt: Circuit, native: Circuit, rotations: int) -> dict[str, int]:
+    """The report's metrics in ``_METRICS`` order, which verify checks them in."""
+    return dict(zip(_METRICS, (cnot_count(opt), entangling_depth(opt), cnot_count(native),
+                               entangling_depth(native), rotations)))
+
+
+def _layers(pa: ProbabilityAbsorption | None, records) -> list[tuple[Gate, ...]]:
+    """The basis layer after opt in each executed circuit: H on ``pa``'s
+    mask in qubit order, or with no ``pa`` each record's layer."""
+    return [tuple(map(h, sorted(pa.h_mask)))] if pa else [r.basis_layer for r in records]
 
 
 def cmd_gen(args) -> int:
@@ -154,40 +164,30 @@ def cmd_optimize(args) -> int:
         result = extract(prob.terms)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if prob.mode == "probabilities":
-        # a refusal costs no peephole, baseline or metrics
-        try:
-            pa = absorb_probabilities(result.extracted)
-        except NotReducible as exc:
-            return _fail(
-                f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
-                'give the input "mode": "observables" and an "observables" list'
-            )
+    # a refusal costs no peephole, baseline or metrics
+    try:
+        pa = absorb_probabilities(result.extracted) if prob.mode == "probabilities" else None
+    except NotReducible as exc:
+        return _fail(
+            f"cannot absorb the extracted Clifford into bitstrings ({exc}); "
+            'give the input "mode": "observables" and an "observables" list'
+        )
     opt = peephole(result.opt_circuit)
-    native = native_circuit(prob.terms)
-
+    m = _metrics(opt, native_circuit(prob.terms), result.stats["rotations"])
     report: dict = {
         "input_digest": _digest(args.input),
         "num_qubits": prob.n,
         "mode": prob.mode,
-        "metrics": {
-            "cnot_before": cnot_count(native),
-            "cnot_after": cnot_count(opt),
-            "entangling_depth_before": entangling_depth(native),
-            "entangling_depth_after": entangling_depth(opt),
-            "rotation_count": result.stats["rotations"],
-        },
+        "metrics": m,
         "artifacts": {"optimized": args.out, "clifford": args.clifford, "executed": exec_paths},
     }
-
-    if prob.mode == "probabilities":
+    records = [] if pa else absorb_observables(result.extracted, prob.observables)
+    if pa:
         report["absorption"] = {
             "h_mask": sorted(pa.h_mask),
             "network": [list(e) for e in pa.network],
         }
-        layers = [tuple(map(h, sorted(pa.h_mask)))]
     else:
-        records = absorb_observables(result.extracted, prob.observables)
         report["observables"] = [
             {
                 "original": r.original.label(),
@@ -196,17 +196,15 @@ def cmd_optimize(args) -> int:
             }
             for r in records
         ]
-        layers = [r.basis_layer for r in records]
 
     # each executed file is emit_qasm of opt plus its layer, byte for
     # byte, with opt formatted once
     text = emit_qasm(opt)
     Path(args.out).write_text(text, encoding="utf-8")
     Path(args.clifford).write_text(emit_qasm(result.extracted), encoding="utf-8")
-    for path, layer in zip(exec_paths, layers):
+    for path, layer in zip(exec_paths, _layers(pa, records)):
         Path(path).write_text(text + _qasm_gates(layer), encoding="utf-8")
     _write_json(args.report, report)
-    m = report["metrics"]
     print(
         f"cnot {m['cnot_before']} -> {m['cnot_after']}, "
         f"entangling depth {m['entangling_depth_before']} -> {m['entangling_depth_after']}, "
@@ -386,8 +384,7 @@ def cmd_verify(args) -> int:
     digest = _field(report, "input_digest", "report", "input_digest is not a string",
                     lambda v: isinstance(v, str))
     m = _field(report, "metrics", "report")
-    for key in ("cnot_before", "cnot_after", "entangling_depth_before", "entangling_depth_after",
-                "rotation_count"):
+    for key in _METRICS:
         _field(m, key, "report metrics", f"{key} is not an integer", lambda v: type(v) is int)
     art = _field(report, "artifacts", "report")
     opt_path, cliff_path = (
@@ -397,12 +394,9 @@ def cmd_verify(args) -> int:
     )
     exec_paths = _field(art, "executed", "report artifacts", '"executed" is not a list of path strings',
                         lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v))
-    if mode == "observables":
-        records = _observable_records(report)
-        layers = [rec.basis_layer for rec in records]
-    else:
-        pa = _absorption(report)
-        records, layers = [], [tuple(map(h, sorted(pa.h_mask)))]
+    pa = _absorption(report) if mode == "probabilities" else None
+    records = [] if pa else _observable_records(report)
+    layers = _layers(pa, records)
     if not exec_paths:
         raise SchemaError('report artifacts "executed" is empty')
     if len(exec_paths) != len(layers):
@@ -413,7 +407,6 @@ def cmd_verify(args) -> int:
     opt = _artifact(opt_path, "optimized circuit", prob.n)
     cliff = _artifact(cliff_path, "Clifford circuit", prob.n)
     executed = [_artifact(path, "executed circuit", prob.n) for path in exec_paths]
-    native = native_circuit(prob.terms)
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -430,15 +423,11 @@ def cmd_verify(args) -> int:
     check("unitary round-trip",
           images == replay((), prob.n)[0] and _same_rotations(prob.terms, rotations, prob.n))
 
-    check("cnot_after matches artifact", m["cnot_after"] == cnot_count(opt))
-    check("entangling_depth_after matches artifact", m["entangling_depth_after"] == entangling_depth(opt))
-    check("cnot_before matches input", m["cnot_before"] == cnot_count(native))
-    check("entangling_depth_before matches input",
-          m["entangling_depth_before"] == entangling_depth(native))
-    check("rotation_count matches input",
-          m["rotation_count"] == sum(1 for t in prob.terms if t.pauli.weight()))
+    count = sum(1 for t in prob.terms if t.pauli.weight())
+    for key, value in _metrics(opt, native_circuit(prob.terms), count).items():
+        check(f"{key} matches {'artifact' if key.endswith('_after') else 'input'}", m[key] == value)
 
-    expected = _executed(opt, layers)
+    expected = [opt.gates + layer for layer in layers]
     if mode == "observables":
         # E†OE for the Clifford E of the file; with the round trip, every
         # input state gives equal expectations on the native and
@@ -448,10 +437,10 @@ def cmd_verify(args) -> int:
         ]
         check("observable expectations", ok)
         for k, (rec, circ) in enumerate(zip(records, executed)):
-            ok = rec.basis_layer == tuple(basis_change_gates(rec.transformed)) and circ == expected[k]
+            ok = rec.basis_layer == tuple(basis_change_gates(rec.transformed)) and circ.gates == expected[k]
             check(f"executed circuit {k} is opt plus observable {k}'s basis layer", ok)
     else:
-        check("executed circuit is opt plus H on the h_mask", executed[0] == expected[0])
+        check("executed circuit is opt plus H on the h_mask", executed[0].gates == expected[0])
         # E equal to the H layer then the network, with the round trip,
         # maps every input state's distribution onto the executed one's
         absorbed = layers[0] + tuple(cx(c, t) for c, t in pa.network)

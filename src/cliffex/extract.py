@@ -52,28 +52,25 @@ class ExtractionResult:
     stats: dict
 
 
-def convert_commute_sets(terms: list[PauliTerm]) -> list[list[PauliTerm]]:
-    """Greedy left-to-right partition into maximal consecutive runs of
-    mutually commuting terms: a term joins the current block iff it
-    commutes with every member, otherwise it starts a new block.  Terms
-    may be reordered inside a block; block boundaries never move.  Over
-    the terms' columns, the lanes anticommuting with term k are one
-    parity, ``tableau.anticommuting``: O(weight) big-int XORs per term."""
+def _term_list(terms, verb: str) -> tuple[list[PauliTerm], int]:
+    """``terms`` as a list, non-empty and on one qubit count, and that count."""
     terms = list(terms)
     if not terms:
-        raise ValueError("cannot partition an empty term list")
+        raise ValueError(f"cannot {verb} an empty term list")
     n = terms[0].pauli.n
     for k, t in enumerate(terms):
         if t.pauli.n != n:
             raise LengthMismatch(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
-    paulis = [t.pauli for t in terms]
-    cuts = _block_cuts(paulis, *columns(paulis, n)[:2])
-    return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
+    return terms, n
 
 
 def _block_cuts(paulis: list[PauliString], xs: list[int], zs: list[int]) -> list[int]:
-    """The first index of each block of ``convert_commute_sets`` over the
-    non-empty ``paulis``, whose columns are ``xs``/``zs``, then their count."""
+    """The first index of each block of the non-empty ``paulis``, whose
+    columns are ``xs``/``zs``, then their count.  A block is a maximal run
+    of mutually commuting strings, cut greedily: a string joins it iff it
+    commutes with every member.  Strings may move inside a block, never
+    across a cut.  The lanes anticommuting with string k are one parity,
+    ``tableau.anticommuting``: O(weight) big-int XORs per string."""
     starts = [0]
     for k, p in enumerate(paulis):
         if anticommuting(xs, zs, p) & (1 << k) - (1 << starts[-1]):
@@ -277,15 +274,10 @@ def extract(terms) -> ExtractionResult:
     a warning.  The result satisfies extracted * opt_circuit == the
     product of the input rotations, up to global phase.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("cannot extract from an empty term list")
-    n = terms[0].pauli.n
+    terms, n = _term_list(terms, "extract from")
     # (input index, term) of every non-identity term, in input order
     order: list[tuple[int, PauliTerm]] = []
     for k, t in enumerate(terms):
-        if t.pauli.n != n:
-            raise LengthMismatch(f"term {k} acts on {t.pauli.n} qubits, expected {n}")
         if t.pauli.x | t.pauli.z:
             order.append((k, t))
         else:
@@ -359,15 +351,10 @@ def native_circuit(terms) -> Circuit:
     """Reference synthesis without extraction: every rotation becomes a
     mirrored basis-layer/chain/RZ/inverse-chain/inverse-layer block, so a
     weight-w term costs 2(w-1) CNOTs.  Identity terms are skipped."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("cannot synthesize an empty term list")
-    n = terms[0].pauli.n
+    terms, n = _term_list(terms, "synthesize")
     gates: list[Gate] = []
-    for k, t in enumerate(terms):
+    for t in terms:
         p = t.pauli
-        if p.n != n:
-            raise LengthMismatch(f"term {k} acts on {p.n} qubits, expected {n}")
         supp = _support(p.x | p.z)
         if not supp:
             continue

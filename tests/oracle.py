@@ -34,7 +34,7 @@ from pathlib import Path
 
 from cliffex.circuit import Circuit, Gate, cx, inverse, rz
 from cliffex.errors import InvalidSize, LengthMismatch
-from cliffex.extract import basis_change_gates, convert_commute_sets
+from cliffex.extract import basis_change_gates
 from cliffex.pauli import PauliString, _letter_at, _support
 from cliffex.tableau import _conj_lanes
 
@@ -217,6 +217,19 @@ def _reference_choice(rows: list[int], lo: int, hi: int, smask: int, n: int) -> 
     return best_j
 
 
+def commute_blocks(terms) -> list[list]:
+    """Maximal consecutive runs of mutually commuting terms, by the
+    pairwise definition: a term joins the current run iff it commutes
+    with every member, otherwise it starts a new run."""
+    blocks: list[list] = []
+    for t in terms:
+        if blocks and all(t.pauli.commutes(u.pauli) for u in blocks[-1]):
+            blocks[-1].append(t)
+        else:
+            blocks.append([t])
+    return blocks
+
+
 def reference_extract(terms) -> tuple[Circuit, Circuit, dict]:
     """``extract``'s (opt_circuit, extracted, stats), computed over one
     list of packed rows (x | z << n | (sign < 0) << 2n) kept in emission
@@ -226,7 +239,7 @@ def reference_extract(terms) -> tuple[Circuit, Circuit, dict]:
     n = terms[0].pauli.n
     order = [(k, t) for k, t in enumerate(terms) if t.pauli.x | t.pauli.z]
     gates, weights, reorders = [], [], 0
-    blocks = convert_commute_sets([t for _, t in order]) if order else []
+    blocks = commute_blocks(t for _, t in order)
     rows = [t.pauli.x | t.pauli.z << n | (t.pauli.sign < 0) << 2 * n for _, t in order]
     full = (1 << n) - 1
     hi = 0

@@ -935,6 +935,33 @@ def test_verify_reads_executed_observable_circuits(tmp_path, capsys, xyz_input):
     assert _one_error_line_in(err) and f"executed circuit {paths[k]}" in err
 
 
+_COMMON_CHECKS = [
+    "input digest matches report",
+    "mode matches input",
+    "observables match input",
+    "unitary round-trip",
+    "cnot_after matches artifact",
+    "entangling_depth_after matches artifact",
+    "cnot_before matches input",
+    "entangling_depth_before matches input",
+    "rotation_count matches input",
+]
+
+
+@pytest.mark.parametrize("fixture, checks", [
+    ("triangle_input", ["executed circuit is opt plus H on the h_mask", "output distribution"]),
+    ("xyz_input", ["observable expectations"]
+     + [f"executed circuit {k} is opt plus observable {k}'s basis layer" for k in range(3)]),
+])
+def test_verify_prints_every_check_in_order(tmp_path, capsys, request, fixture, checks):
+    inp = request.getfixturevalue(fixture)
+    assert run(*_opt_args(tmp_path, inp)) == 0
+    capsys.readouterr()
+    assert run("verify", inp, "--report", tmp_path / "report.json") == 0
+    lines = [f"pass  {name}" for name in _COMMON_CHECKS + checks] + ["all checks passed"]
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -15,7 +15,6 @@ from cliffex import (
     PauliTerm,
     ProbabilityAbsorption,
     absorb_observables,
-    convert_commute_sets,
     cx,
     extract,
     gen_labs,
@@ -140,7 +139,7 @@ def _term_list(data):
     words = [data.draw(st.just("I" * n) if identity else st.text("IXYZ", min_size=n, max_size=n))
              for n in sizes]
     terms = [PauliTerm(parse_pauli(w), 0.5) for w in words]
-    fn = data.draw(st.sampled_from([convert_commute_sets, extract, native_circuit]))
+    fn = data.draw(st.sampled_from([extract, native_circuit]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # extract warns about each identity term
         if _only({LengthMismatch} if terms else {ValueError}, fn, terms) is None:

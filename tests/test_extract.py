@@ -13,7 +13,6 @@ from cliffex import (
     Circuit,
     Gate,
     cnot_count,
-    convert_commute_sets,
     cx,
     extract,
     h,
@@ -39,6 +38,7 @@ from cliffex.tableau import columns, conj_columns, replay, strings as column_str
 from oracle import (
     _chain_tree,
     circuit_unitary,
+    commute_blocks,
     dense_pauli,
     equivalent_up_to_phase,
     reference_extract,
@@ -85,22 +85,20 @@ def _roundtrip_ok(terms, result, tol=1e-9):
 
 
 def test_commute_blocks_pairs():
-    blocks = convert_commute_sets([term("ZZZZ"), term("YYXX")])
-    assert [len(b) for b in blocks] == [2]
-    blocks = convert_commute_sets([term("Z"), term("X")])
-    assert [len(b) for b in blocks] == [1, 1]
+    assert extract([term("ZZZZ"), term("YYXX")]).stats["block_sizes"] == (2,)
+    assert extract([term("Z"), term("X")]).stats["block_sizes"] == (1, 1)
 
 
 def test_commute_blocks_triangle():
     seq = [term(w) for w in ("ZZI", "IZZ", "ZIZ", "XII", "IXI", "IIX")]
-    blocks = convert_commute_sets(seq)
-    assert [len(b) for b in blocks] == [3, 3]
-    assert [t.pauli.label() for t in blocks[0]] == ["ZZI", "IZZ", "ZIZ"]
+    stats = extract(seq).stats
+    assert stats["block_sizes"] == (3, 3)
+    assert sorted(stats["emitted_order"][:3]) == [0, 1, 2]
 
 
 def test_commute_blocks_mixed_counts():
     with pytest.raises(LengthMismatch):
-        convert_commute_sets([term("ZZ"), term("Z")])
+        extract([term("ZZ"), term("Z")])
 
 
 @st.composite
@@ -120,18 +118,13 @@ def _partition_words(draw):
 @settings(max_examples=200, deadline=None)
 @given(_partition_words())
 def test_commute_blocks_match_pairwise_definition(words):
-    expected: list[list[str]] = []
-    members: list[PauliString] = []
-    for w in words:
-        p = parse_pauli(w)
-        if expected and all(p.commutes(v) for v in members):
-            expected[-1].append(w)
-            members.append(p)
-        else:
-            expected.append([w])
-            members = [p]
-    blocks = convert_commute_sets([term(w) for w in words])
-    assert [[t.pauli.letters() for t in b] for b in blocks] == expected
+    terms = [term(w) for w in words]
+    # extract skips identity words, so the runs are those of the others
+    expected = commute_blocks(t for t in terms if t.pauli.weight())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = extract(terms).stats
+    assert stats["block_sizes"] == tuple(map(len, expected))
 
 
 # ---------------------------------------------------------- tree fixtures
@@ -754,7 +747,7 @@ def test_extract_schedule_is_block_permutation():
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
         terms = _random_terms(rng, n, m)
         res = extract(terms)
-        blocks = convert_commute_sets(terms)
+        blocks = commute_blocks(terms)
         order = list(res.stats["emitted_order"])
         start = 0
         for b in blocks:
