@@ -50,9 +50,9 @@ from .tableau import anticommuting, columns, replay
 OK, VERIFY_FAIL, USAGE = 0, 1, 2
 
 
-def _fail(msg: str, code: int = USAGE) -> int:
+def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return code
+    return USAGE
 
 
 def _write_json(path, payload) -> None:
@@ -143,10 +143,14 @@ def _layers(pa: ProbabilityAbsorption | None, records) -> list[tuple[Gate, ...]]
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "maxcut":
-        terms = gen_maxcut(args.n, args.degree, args.edges, args.seed, args.layers, args.gamma, args.beta)
-    else:  # labs
-        terms = gen_labs(args.n, args.layers, args.gamma, args.beta)
+    try:
+        if args.kind == "maxcut":
+            terms = gen_maxcut(args.n, args.degree, args.edges, args.seed, args.layers, args.gamma,
+                               args.beta)
+        else:  # labs
+            terms = gen_labs(args.n, args.layers, args.gamma, args.beta)
+    except ValueError as exc:  # InvalidSize, or PauliTerm's on a non-finite angle
+        return _fail(str(exc))
     _write_json(args.out, to_input_dict(args.n, terms))
     print(f"wrote {len(terms)} terms on {args.n} qubits to {args.out}")
     return OK

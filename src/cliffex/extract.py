@@ -22,16 +22,18 @@ the tree, O(|S| log n) counter steps per rotation.  Blocks are cut from
 columns too.
 
 Tree shapes are chosen so that rewritten successor strings lose as many
-non-identity letters as possible: the tree qubits are grouped by the
-letters of the chosen successor, and multi-qubit groups are refined
-recursively against later strings, in input order.  A group's guiding
-lane is the lowest lane, past its parent's, on which its letters
-differ: the OR over the group of each qubit's columns XORed with its
-first qubit's, so a tree node costs O(|group|) big-int operations
-however many waiting strings split nothing.  A group no lane splits
-stays open, and open roots are joined control->target in the order
-(Z->Y), (I->X), (Y->X) -- the letter pairs a CNOT conjugation can
-erase -- before the rest are chained into the final root.
+non-identity letters as possible, in two phases.  Splitting, top down:
+the tree qubits are grouped by the letters of the chosen successor, and
+each multi-qubit group is split again against later strings, in input
+order.  A group's guiding lane is the lowest lane, past its parent's, on
+which its letters differ: the OR over the group of each qubit's columns
+XORed with its first qubit's, so a split costs O(|group|) big-int
+operations however many waiting strings split nothing.  A group no lane
+splits stays open.  Joining, bottom up: a split group's open roots are
+joined control->target in the order (Z->Y), (I->X), (Y->X) -- the letter
+pairs a CNOT conjugation can erase -- before the rest are chained into
+its one root.  Both phases walk explicit lists, so a tree of any depth
+fits.
 """
 
 from __future__ import annotations
@@ -89,80 +91,8 @@ def basis_change_gates(p: PauliString) -> list[Gate]:
     return out
 
 
-def _connect_roots(x: list[int], y: list[int], z: list[int], i: list[int],
-                   out: list[tuple[int, int]]) -> int:
-    """Join the open subtree roots, bucketed by letter class and each
-    bucket sorted, into one root; returns it.
-
-    Priority pairings fire first (source root consumed, target keeps its
-    parity-carrying role), then every leftover chains into the final
-    root, which is the lowest qubit of the highest-priority class present
-    (X > Y > I > Z).
-    """
-    out += zip(z, y)
-    z = z[len(y):]
-    out += zip(i, x)
-    i = i[len(x):]
-    out += zip(y, x)
-    y = y[len(x):]
-    root = (x or y or i or z)[0]
-    out += [(q, root) for q in sorted(x + y + z + i) if q != root]
-    return root
-
-
 # bucket of a letter in X, Y, Z, I order, indexed by x_bit + 2*z_bit
 _BUCKET = (3, 0, 2, 1)
-
-
-def _split(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int
-           ) -> tuple[tuple[list[int], ...], int] | None:
-    """The letter buckets (X, Y, Z, I) of the sorted qubits ``grp`` on the
-    lane ``first`` if their letters differ there, else on the lowest lane
-    of ``rest`` where they do, with the lanes its parts search; None when
-    no such lane is left and ``grp`` stays open."""
-    x0, z0, diff = xs[grp[0]], zs[grp[0]], 0
-    for q in grp[1:]:
-        diff |= xs[q] ^ x0 | zs[q] ^ z0
-    # a part of grp differs only on lanes where grp does, so never on
-    # this split's lane or on ``first``, nor on a lane of rest before it
-    rest &= diff
-    if first is not None and diff >> first & 1:
-        lane = first
-    elif rest:
-        lane = (rest & -rest).bit_length() - 1
-    else:
-        return None
-    buckets = ([], [], [], [])
-    for q in grp:
-        buckets[_BUCKET[(xs[q] >> lane & 1) + 2 * (zs[q] >> lane & 1)]].append(q)
-    return buckets, rest
-
-
-def _subtree(xs: list[int], zs: list[int], grp: list[int], first: int | None, rest: int,
-             out: list[tuple[int, int]]) -> list[int]:
-    """Open roots, ascending, of the subtree over the sorted qubits
-    ``grp``; emits its CNOTs into ``out``.  A node's buckets of two or
-    more qubits are ``_split`` and built in order, depth first, before
-    their roots are joined.  The stack holds the nodes on the way down,
-    so a tree of any depth fits."""
-    node = _split(xs, zs, grp, first, rest)
-    if node is None:
-        return grp
-    buckets, rest = node
-    todo, into, stack = iter(buckets), None, []
-    while True:
-        for b in todo:
-            if len(b) > 1 and (node := _split(xs, zs, b, None, rest)):
-                stack.append((buckets, rest, todo, into))
-                (buckets, rest), into = node, b
-                todo = iter(buckets)
-                break
-        else:
-            root = _connect_roots(*buckets, out)
-            if not stack:
-                return [root]
-            into[:] = [root]  # the bucket's qubits joined into one root
-            buckets, rest, todo, into = stack.pop()
 
 
 def tree_synthesis(xs: list[int], zs: list[int], tree_idxs, first: int | None, rest: int
@@ -182,10 +112,45 @@ def tree_synthesis(xs: list[int], zs: list[int], tree_idxs, first: int | None, r
     idxs = sorted(set(tree_idxs))
     if not idxs:
         raise InvalidSize("tree synthesis needs at least one qubit")
+    # split: each sorted group that a lane splits is recorded with its
+    # letter buckets on that lane, parents before children; buckets are
+    # pushed X, Y, Z, I, so the join below meets X's subtree first
+    todo, nodes = [(idxs, first, rest)], []
+    while todo:
+        grp, lane, rest = todo.pop()
+        x0, z0, diff = xs[grp[0]], zs[grp[0]], 0
+        for q in grp[1:]:
+            diff |= xs[q] ^ x0 | zs[q] ^ z0
+        # a part of grp differs only on lanes where grp does, so never on
+        # this split's lane or on ``first``, nor on a lane of rest before it
+        rest &= diff
+        if lane is None or not diff >> lane & 1:
+            if not rest:
+                continue  # no lane splits grp: it stays open
+            lane = (rest & -rest).bit_length() - 1
+        buckets = ([], [], [], [])
+        for q in grp:
+            buckets[_BUCKET[(xs[q] >> lane & 1) + 2 * (zs[q] >> lane & 1)]].append(q)
+        nodes.append((grp, buckets))
+        todo += [(b, None, rest) for b in buckets if len(b) > 1]
+    # join, every child before its parent: the priority pairings fire
+    # (source consumed, target keeps its parity-carrying role), then the
+    # rest chain into the lowest qubit of the first class present in
+    # X, Y, I, Z order; that root replaces the group in its parent's bucket
     out: list[tuple[int, int]] = []
+    for grp, (x, y, z, i) in reversed(nodes):
+        out += zip(z, y)
+        z = z[len(y):]
+        out += zip(i, x)
+        i = i[len(x):]
+        out += zip(y, x)
+        y = y[len(x):]
+        root = (x or y or i or z)[0]
+        out += [(q, root) for q in sorted(x + y + z + i) if q != root]
+        grp[:] = [root]
     # open top-level roots chain into the lowest of them
-    root = _connect_roots(_subtree(xs, zs, idxs, first, rest, out), [], [], [], out)
-    return [cx(a, b) for a, b in out], root
+    out += [(q, idxs[0]) for q in idxs[1:]]
+    return [cx(a, b) for a, b in out], idxs[0]
 
 
 def _add(counter: list[int], lanes: int, k: int = 0) -> None:

@@ -139,10 +139,13 @@ def _read_text(path, what: str) -> str:
 
 
 def _read_json(path, what: str):
+    """The JSON document in the file at ``path``, read by ``_read_text``;
+    text that is not JSON, or nests too deeply to decode, raises
+    SchemaError naming ``what``."""
     text = _read_text(path, what)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -93,6 +93,10 @@ def test_gen_infeasible_degree(tmp_path):
         ("gen", "maxcut", "--nodes", 6),
         ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--layers", 3, "--gamma", 0.1, "--gamma", 0.2),
         ("gen", "labs", "--n", 5, "--layers", 2, "--beta", 0.1, "--beta", 0.2, "--beta", 0.3),
+        # an angle that makes a coefficient non-finite (LABS weights are 2 or more)
+        ("gen", "labs", "--n", 4, "--gamma", "nan"),
+        ("gen", "maxcut", "--nodes", 4, "--degree", 2, "--beta", "inf"),
+        ("gen", "labs", "--n", 4, "--gamma", 1e308),
     ],
 )
 def test_gen_parameter_errors_exit_2(tmp_path, capsys, argv):
@@ -1440,6 +1444,60 @@ def test_mutated_file_exits_0_1_or_2(valid_files, data):
             assert code in (0, 1, 2), argv[0]
             if code == 2:
                 assert _one_error_line_in(err.getvalue()), (argv[0], err.getvalue())
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_deeply_nested_json_exits_2(valid_files, tmp_path, capsys, kind):
+    # nesting past the recursion limit is malformed JSON, not a traceback
+    nested = tmp_path / f"{kind}.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    for files in valid_files.values():
+        if kind in files:
+            for argv in _READERS[kind]({**files, kind: nested}, tmp_path):
+                assert run(*argv) == 2, argv[0]
+                assert _one_error_line(capsys), argv[0]
+
+
+_ANGLES = st.lists(st.floats() | st.sampled_from([1e308, -1e308]), max_size=3)
+_SIZES = st.none() | st.integers(-1, 10)
+
+
+@st.composite
+def _gen_argv(draw):
+    """``gen`` argv: sizes may be absent, negative or infeasible, and
+    angles nan, +-inf or so large that a term's coefficient overflows.
+    Every value is attached with ``=`` so that a negative one is read as
+    a value, not as an option."""
+    kind = draw(st.sampled_from(["maxcut", "labs"]))
+    if kind == "maxcut":
+        sizes = {"--nodes": st.integers(-1, 10), "--degree": _SIZES,
+                 "--edges": st.none() | st.integers(-1, 50), "--seed": st.integers(0, 3),
+                 "--layers": _SIZES}
+    else:
+        sizes = {"--n": st.integers(-1, 8), "--layers": _SIZES}
+    argv = ["gen", kind]
+    for flag, values in sizes.items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    for flag in ("--gamma", "--beta"):
+        argv += [f"{flag}={a!r}" for a in draw(_ANGLES)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_gen_argv())
+def test_gen_argv_exits_0_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x.json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*argv, "--out", out)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert _one_error_line_in(err.getvalue()) and not out.exists(), argv
+        else:
+            assert load_terms(out).terms, argv
 
 
 @pytest.fixture(scope="module")

@@ -217,6 +217,18 @@ def test_tree_empty_raises():
         tree_synthesis(*_cols([], parse_pauli("Z")), [], None, 0)
 
 
+def test_tree_reads_its_qubits_as_a_set(seven_qubit_setup):
+    # an unsorted list with repeats gives the tree of the sorted set, and
+    # no list is changed: extract reuses the support after the tree
+    p1, p2, p3, layer = seven_qubit_setup
+    cols = _cols(layer, p2, p3)
+    for first, rest in ((0, 0b10), (None, 0b10), (None, 0)):
+        shuffled, ordered = [5, 2, 6, 0, 2, 4, 1, 3, 5, 6], list(range(7))
+        tree = tree_synthesis(*cols, ordered, first, rest)
+        assert tree_synthesis(*cols, shuffled, first, rest) == tree
+        assert shuffled == [5, 2, 6, 0, 2, 4, 1, 3, 5, 6] and ordered == list(range(7))
+
+
 @st.composite
 def _tree_case(draw):
     """Columns of up to 200 strings on up to 100 qubits, a tree support S
