@@ -149,9 +149,9 @@ def cmd_gen(args) -> int:
                                args.beta)
         else:  # labs
             terms = gen_labs(args.n, args.layers, args.gamma, args.beta)
-    except ValueError as exc:  # InvalidSize, or PauliTerm's on a non-finite angle
+        _write_json(args.out, to_input_dict(args.n, terms))
+    except ValueError as exc:  # InvalidSize, PauliTerm's on a non-finite angle, or SchemaError
         return _fail(str(exc))
-    _write_json(args.out, to_input_dict(args.n, terms))
     print(f"wrote {len(terms)} terms on {args.n} qubits to {args.out}")
     return OK
 
@@ -315,16 +315,6 @@ def _artifact(path: str, what: str, n: int) -> Circuit:
     return circ
 
 
-def _lay_out(rows: list[list], n: int) -> tuple[list[int], list[int], dict]:
-    """Columns of the strings of ``rows`` ([string, coefficient], lane k
-    holding rows[k]) and each string's lanes in order."""
-    xs, zs, _ = columns([p for p, _ in rows], n)
-    lanes: dict[tuple[int, int], list[int]] = {}
-    for k, (p, _) in enumerate(rows):
-        lanes.setdefault((p.x, p.z), []).append(k)
-    return xs, zs, lanes
-
-
 def _same_rotations(terms, rotations, n: int) -> bool:
     """True iff the rotations of ``replay`` ((P, t) for exp(-i t/2 P), in
     time order) multiply to the input's rotations exp(i c P), in input
@@ -335,45 +325,39 @@ def _same_rotations(terms, rotations, n: int) -> bool:
     rotation whose coefficient is within 1e-9 max(1, |c|) of zero is
     dropped; the products are equal when no rotation is left.
 
-    The remaining rotations are the ``alive`` lanes of columns, so a
-    term's first anticommuting rotation is the lowest alive lane of one
-    parity, and its first own-string rotation is the first of that
-    string's alive lanes; whichever is lower stops it.  A term left over
-    after every lane takes a new lane; one left before an alive lane
-    lays the lanes out again.
+    The remaining rotations are the ``alive`` lanes of columns, front
+    highest (rotation j of r is lane r - 1 - j), and no lane moves.  A
+    term's stop is its highest anticommuting lane; it matches its own
+    string's highest lane above that.  A term left over takes a new top
+    lane, as it commutes with every lane it passed.
     """
-    rows = [[p, -0.5 * t * p.sign] for p, t in rotations]  # [string, coefficient]
-    xs, zs, lanes = _lay_out(rows, n)
-    alive = (1 << len(rows)) - 1
+    xs, zs, _ = columns([p for p, _ in reversed(rotations)], n)
+    coeffs = [-0.5 * t * p.sign for p, t in reversed(rotations)]
+    lanes: dict[tuple[int, int], int] = {}  # string -> mask of its alive lanes
+    for k, (p, _) in enumerate(reversed(rotations)):
+        lanes[p.x, p.z] = lanes.get((p.x, p.z), 0) | 1 << k
+    alive = (1 << len(coeffs)) - 1
     for term in terms:
         p = term.pauli
         if not p.x | p.z:  # the identity only adds a global phase
             continue
         c = term.coeff * p.sign
         tol = 1e-9 * max(1.0, abs(c))
-        anti = anticommuting(xs, zs, p) & alive
-        stop = (anti & -anti).bit_length() - 1
-        same = lanes.get((p.x, p.z))
-        if same and (not anti or same[0] < stop):
-            k = same[0]
-            rows[k][1] -= c
-            if abs(rows[k][1]) <= tol:
+        same = lanes.get((p.x, p.z), 0)
+        if same.bit_length() > (anticommuting(xs, zs, p) & alive).bit_length():
+            k = same.bit_length() - 1
+            coeffs[k] -= c
+            if abs(coeffs[k]) <= tol:
                 alive ^= 1 << k
-                del same[0]
-        elif abs(c) > tol and anti:
-            live = _support(alive)
-            rows = [rows[k] for k in live]
-            rows.insert(live.index(stop), [p, -c])
-            xs, zs, lanes = _lay_out(rows, n)
-            alive = (1 << len(rows)) - 1
+                lanes[p.x, p.z] = same ^ 1 << k
         elif abs(c) > tol:
-            k = len(rows)
-            rows.append([p, -c])
+            k = len(coeffs)
+            coeffs.append(-c)
             for q in _support(p.x):
                 xs[q] |= 1 << k
             for q in _support(p.z):
                 zs[q] |= 1 << k
-            lanes.setdefault((p.x, p.z), []).append(k)
+            lanes[p.x, p.z] = same | 1 << k
             alive |= 1 << k
     return not alive
 

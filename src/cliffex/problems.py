@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidSize, LengthMismatch, SchemaError
@@ -164,7 +165,7 @@ def _field(doc, key, where: str, what: str = "", ok=None):
 
 
 def _finite(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max  # nan fails, so do huge ints
 
 
 def _word(text: str, n: int, where: str) -> PauliString:
@@ -175,13 +176,19 @@ def _word(text: str, n: int, where: str) -> PauliString:
     return p
 
 
+def _check_angles(terms) -> None:
+    """Refuse ``terms`` unless the sum of 2|coeff|, which bounds every RZ angle, is finite."""
+    if not math.isfinite(2 * sum(abs(t.coeff) for t in terms)):
+        raise SchemaError("terms: the sum of 2|coeff| is not finite")
+
+
 def load_terms(path) -> LoadedProblem:
     """Load and validate the standard input JSON.
 
     Schema: {"num_qubits": int, "terms": [{"pauli": "word", "coeff": real}],
     "observables": ["word", ...]?, "mode": "observables"|"probabilities"?}.
     The default mode is "observables" when observables are present,
-    otherwise "probabilities".
+    otherwise "probabilities".  The terms must pass ``_check_angles``.
     """
     data = _read_json(path, "input")
     n = _field(data, "num_qubits", "input", '"num_qubits" must be a positive integer',
@@ -194,6 +201,7 @@ def load_terms(path) -> LoadedProblem:
                       lambda v: isinstance(v, str))
         coeff = _field(entry, "coeff", f"terms[{k}]:", "coeff must be a finite number", _finite)
         terms.append(PauliTerm(_word(word, n, f"terms[{k}]"), float(coeff)))
+    _check_angles(terms)
     observables: list[PauliString] = []
     if "observables" in data:
         words = _field(data, "observables", "input", '"observables" must be a list of strings',
@@ -208,7 +216,8 @@ def load_terms(path) -> LoadedProblem:
 
 def to_input_dict(n: int, terms: list[PauliTerm]) -> dict:
     """Standard input JSON payload for a generated term list, in
-    probabilities mode."""
+    probabilities mode; ``_check_angles`` refuses what load_terms would."""
+    _check_angles(terms)
     return {
         "num_qubits": n,
         "terms": [{"pauli": t.pauli.label(), "coeff": t.coeff} for t in terms],

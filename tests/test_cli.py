@@ -97,6 +97,8 @@ def test_gen_infeasible_degree(tmp_path):
         ("gen", "labs", "--n", 4, "--gamma", "nan"),
         ("gen", "maxcut", "--nodes", 4, "--degree", 2, "--beta", "inf"),
         ("gen", "labs", "--n", 4, "--gamma", 1e308),
+        # finite coefficients whose RZ angles 2|c| sum past float range
+        ("gen", "maxcut", "--nodes", 1, "--edges", 0, "--beta", 1e308),
     ],
 )
 def test_gen_parameter_errors_exit_2(tmp_path, capsys, argv):
@@ -419,6 +421,18 @@ def test_same_rotations_matches_the_walk(case):
     assert _same_rotations(terms, rots, n) == same_rotations(terms, rots, n)
 
 
+@pytest.mark.parametrize("words, same", [
+    ([("X", 0.5), ("X", -0.5), ("Z", 0.3)], True),
+    ([("X", 0.5), ("Z", 0.3), ("X", -0.5)], False),
+])
+def test_left_over_term_cancels_only_in_front_of_its_stop(words, same):
+    # X(0.5) is left over in front of the rotation Z: the second X takes
+    # it off there, unless the term Z came between them
+    terms = [PauliTerm(parse_pauli(w), c) for w, c in words]
+    rots = [(parse_pauli("Z"), -0.6)]  # the term Z's coefficient 0.3
+    assert _same_rotations(terms, rots, 1) == same_rotations(terms, rots, 1) == same
+
+
 def test_verify_generated_instances_end_to_end(tmp_path):
     cases = [
         ("gen", "maxcut", "--nodes", 6, "--degree", 3, "--seed", 4),
@@ -598,9 +612,10 @@ def _without(report_path, path):
     "payload",
     [{"vals": [0.1]}, {"values": 0.1}, 0.1, {"values": ["a"]}, {"values": [None]}, [True],
      [0.5], {"values": [float("nan")]}, {"values": [float("inf")]}, {"values": [-float("inf")]},
-     {"values": [True]}],
+     {"values": [True]}, {"values": [10**400]}],
     ids=["no-values", "not-a-list", "number", "string-value", "null-value", "bool-value",
-         "bare-list", "nan-value", "inf-value", "minus-inf-value", "bool-in-object"],
+         "bare-list", "nan-value", "inf-value", "minus-inf-value", "bool-in-object",
+         "int-past-float-range"],
 )
 def test_map_expectations_without_values_list_exits_2(tmp_path, capsys, payload):
     report = write_json(
@@ -1247,6 +1262,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         json.dumps({"num_qubits": 2, "terms": [{"pauli": 5, "coeff": 0.1}]}).encode(),
         json.dumps({"num_qubits": True, "terms": [{"pauli": "Z", "coeff": 0.1}]}).encode(),
         json.dumps({"num_qubits": 2, "terms": [term, {"pauli": "ZZ", "coeff": True}]}).encode(),
+        # an int past float range; an angle 2c past it; two angles that merge past it
+        json.dumps({"num_qubits": 2, "terms": [term, {"pauli": "ZZ", "coeff": 10**400}]}).encode(),
+        json.dumps({"num_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 1e308}]}).encode(),
+        json.dumps({"num_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 8.9e307}] * 2}).encode(),
     ):
         bad.write_bytes(payload)
         capsys.readouterr()
@@ -1379,7 +1398,10 @@ def valid_files(tmp_path_factory):
 
 
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    # ints past float range, and floats whose doubled sum (an RZ angle) overflows
+    | st.integers(2**1024, 10**400) | st.integers(-10**400, -2**1024)
+    | st.floats(4e307, sys.float_info.max) | st.floats(-sys.float_info.max, -4e307),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
