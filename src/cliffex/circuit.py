@@ -34,16 +34,18 @@ class Gate:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 2 if self.kind == "cx" else 1
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("qubit indices must be non-negative")
+        try:
+            if len(self.qubits) != arity:
+                raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
+            if any(q < 0 for q in self.qubits):
+                raise ValueError("qubit indices must be non-negative")
+            if self.kind == "rz" and (self.theta is None or not math.isfinite(self.theta)):
+                raise ValueError("rz needs a finite angle")
+        except (TypeError, OverflowError):  # qubits or an angle that are not numbers
+            raise ValueError(f"not a {self.kind} gate: qubits {self.qubits!r}, angle {self.theta!r}") from None
         if self.kind == "cx" and self.qubits[0] == self.qubits[1]:
             raise ValueError("cx control and target must differ")
-        if self.kind == "rz":
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError("rz needs a finite angle")
-        elif self.theta is not None:
+        if self.kind != "rz" and self.theta is not None:
             raise ValueError(f"{self.kind} carries no angle")
 
 
@@ -84,7 +86,11 @@ def cx(c: int, t: int) -> Gate:
 
 
 def rz(q: int, theta: float) -> Gate:
-    return Gate("rz", (q,), float(theta))
+    try:
+        theta = float(theta)
+    except (TypeError, OverflowError):  # None, a list, an int past float range
+        raise ValueError(f"rz needs a finite angle, got {theta!r}") from None
+    return Gate("rz", (q,), theta)
 
 
 def inverse(g: Gate) -> Gate:
@@ -145,51 +151,35 @@ def _cancels(a: Gate, b: Gate) -> bool:
     return {a.kind, b.kind} == {"s", "sdg"}
 
 
-def _peephole_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
-    alive: list[Gate | None] = []
-    last: dict[int, int] = {}  # wire -> index of last surviving gate on it
-    changed = False
-    for g in gates:
-        if g.kind == "rz" and abs(g.theta) < RZ_EPS:
-            changed = True
-            continue
-        prev = {last.get(q) for q in g.qubits}
-        j = prev.pop() if len(prev) == 1 else None
-        partner = alive[j] if j is not None else None
-        if partner is not None and _cancels(partner, g):
-            alive[j] = None
-            for q in g.qubits:
-                del last[q]
-            changed = True
-            continue
-        if (
-            partner is not None
-            and partner.kind == "rz"
-            and g.kind == "rz"
-            and partner.qubits == g.qubits
-        ):
-            theta = partner.theta + g.theta
-            alive[j] = None if abs(theta) < RZ_EPS else rz(g.qubits[0], theta)
-            if alive[j] is None:
-                del last[g.qubits[0]]
-            changed = True
-            continue
-        alive.append(g)
-        for q in g.qubits:
-            last[q] = len(alive) - 1
-    return [g for g in alive if g is not None], changed
-
-
 def peephole(c: Circuit) -> Circuit:
-    """Fixed-point local cleanup: cancel wire-adjacent self-inverse pairs
-    (H.H, CX.CX on the same control/target, S.SDG), merge wire-adjacent
-    RZ on the same qubit, drop RZ angles below 1e-12.  The unitary is
-    preserved; no commutation reasoning is attempted."""
-    gates = list(c.gates)
-    while True:
-        gates, changed = _peephole_pass(gates)
-        if not changed:
-            return Circuit(c.n, tuple(gates))
+    """Local cleanup to its fixed point, in one pass: cancel wire-adjacent
+    self-inverse pairs (H.H, CX.CX on the same control/target, S.SDG),
+    merge wire-adjacent RZ on the same qubit, drop RZ angles below 1e-12.
+    A gate that is removed uncovers the kept gate below it on each of its
+    wires, and the next gate on that wire meets that gate straight away.
+    The unitary is preserved; no commutation reasoning is attempted."""
+    kept: list[Gate | None] = []
+    below: list[tuple] = []  # per kept gate, the tops of its first and last wire before it
+    top: dict = {}  # wire -> index in kept of the top surviving gate on it
+    for g in c.gates:
+        if g.kind == "rz" and abs(g.theta) < RZ_EPS:
+            continue
+        first, last = g.qubits[0], g.qubits[-1]  # one wire twice for a one-qubit gate
+        under = top.get(first), top.get(last)
+        j = under[0] if under[0] == under[1] else None
+        if j is not None and kept[j].kind == g.kind == "rz":
+            theta = kept[j].theta + g.theta
+            if abs(theta) >= RZ_EPS:
+                kept[j] = rz(first, theta)
+                continue
+        elif j is None or not _cancels(kept[j], g):
+            top[first] = top[last] = len(kept)
+            kept.append(g)
+            below.append(under)
+            continue
+        kept[j] = None  # g removes kept[j]: its wires' tops go back to the gates below it
+        top[first], top[last] = below[j]
+    return Circuit(c.n, tuple(g for g in kept if g is not None))
 
 
 def _qasm_gates(gates) -> str:

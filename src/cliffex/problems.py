@@ -50,9 +50,16 @@ def _regular_graph(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
 
 
 def _random_graph(n: int, edges: int, seed: int) -> list[tuple[int, int]]:
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return sorted(rng.sample(pairs, edges))
+    """``edges`` pairs u < v, sampled as indices into the row-major list of
+    all n(n-1)/2 pairs, which is never built: ``random.Random.sample``
+    draws the same indices from any population of the same length."""
+    graph, u, row = [], 0, 0  # row: the index of the pair (u, u + 1)
+    for k in sorted(random.Random(seed).sample(range(n * (n - 1) // 2), edges)):
+        while k >= row + n - 1 - u:  # row u holds the n - 1 - u pairs (u, v > u)
+            row += n - 1 - u
+            u += 1
+        graph.append((u, u + 1 + k - row))
+    return graph
 
 
 def _layers(n: int, cost: dict[int, int], layers: int, gammas, betas) -> list[PauliTerm]:

@@ -16,6 +16,11 @@ bit-sliced columns must reproduce exactly.  ``same_rotations`` is
 column form must decide alike.  ``outputs_by_name`` is the CLI's
 output-path check as it compared resolved path names, which the
 stat-based check must decide alike on every path but a hard link.
+``reference_peephole`` is the peephole cleaner as whole passes repeated
+until one changes nothing, which the one-pass cleaner must match wire by
+wire.  ``reference_random_graph`` is ``gen_maxcut``'s random-graph
+sampler as it listed every pair before sampling, whose graphs the index
+sampler must reproduce.
 
 Every function that builds a dense state or matrix raises ``ValueError``
 above ``DEFAULT_CAP`` (10) qubits; the cap is fixed.
@@ -27,12 +32,14 @@ the bitstring convention used everywhere else.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from itertools import chain
 from pathlib import Path
 
-from cliffex.circuit import Circuit, Gate, cx, inverse, rz
+from cliffex.circuit import RZ_EPS, Circuit, Gate, _cancels, cx, inverse, rz
 from cliffex.errors import InvalidSize, LengthMismatch
 from cliffex.extract import basis_change_gates
 from cliffex.pauli import PauliString, _letter_at, _support
@@ -319,6 +326,60 @@ def outputs_by_name(inputs: dict[str, str], outputs) -> str | None:
             return f"cannot write {path}: it is the same file as {seen[target]}"
         seen[target] = path
     return None
+
+
+def _peephole_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    alive: list[Gate | None] = []
+    last: dict[int, int] = {}  # wire -> index of last surviving gate on it
+    changed = False
+    for g in gates:
+        if g.kind == "rz" and abs(g.theta) < RZ_EPS:
+            changed = True
+            continue
+        prev = {last.get(q) for q in g.qubits}
+        j = prev.pop() if len(prev) == 1 else None
+        partner = alive[j] if j is not None else None
+        if partner is not None and _cancels(partner, g):
+            alive[j] = None
+            for q in g.qubits:
+                del last[q]
+            changed = True
+            continue
+        if (
+            partner is not None
+            and partner.kind == "rz"
+            and g.kind == "rz"
+            and partner.qubits == g.qubits
+        ):
+            theta = partner.theta + g.theta
+            alive[j] = None if abs(theta) < RZ_EPS else rz(g.qubits[0], theta)
+            if alive[j] is None:
+                del last[g.qubits[0]]
+            changed = True
+            continue
+        alive.append(g)
+        for q in g.qubits:
+            last[q] = len(alive) - 1
+    return [g for g in alive if g is not None], changed
+
+
+def reference_peephole(c: Circuit) -> Circuit:
+    """Fixed-point local cleanup: cancel wire-adjacent self-inverse pairs
+    (H.H, CX.CX on the same control/target, S.SDG), merge wire-adjacent
+    RZ on the same qubit, drop RZ angles below 1e-12.  The unitary is
+    preserved; no commutation reasoning is attempted."""
+    gates = list(c.gates)
+    while True:
+        gates, changed = _peephole_pass(gates)
+        if not changed:
+            return Circuit(c.n, tuple(gates))
+
+
+def reference_random_graph(n: int, edges: int, seed: int) -> list[tuple[int, int]]:
+    """``edges`` pairs sampled from the list of all n(n-1)/2 pairs."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return sorted(rng.sample(pairs, edges))
 
 
 def _check_cap(n: int) -> None:

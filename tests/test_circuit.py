@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import re
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffex import Circuit, cnot_count, cx, emit_qasm, entangling_depth, h, parse_qasm, peephole, rz, s, sdg
+from cliffex import (Circuit, PauliTerm, cnot_count, cx, emit_qasm, entangling_depth, extract, h, parse_pauli,
+                     parse_qasm, peephole, rz, s, sdg)
 from cliffex.circuit import Gate, inverse
 from cliffex.errors import CliffexError, InvalidSize, SchemaError
 
-from oracle import circuit_unitary, equivalent_up_to_phase
+from oracle import circuit_unitary, equivalent_up_to_phase, reference_peephole
 
 
 def _random_circuit(rng, n, length):
@@ -97,6 +99,83 @@ def test_peephole_is_wire_local():
 
 def test_peephole_fixed_point():
     assert peephole(Circuit(2, (h(0), cx(0, 1), cx(0, 1), h(0)))).gates == ()
+
+
+def test_peephole_keys_wires_by_qubit_value():
+    # 1.0 and 1 are one wire, as in a dict; a NaN qubit is its own wire
+    assert peephole(Circuit(2, (h(1.0), h(1)))).gates == ()
+    odd = h(float("nan"))
+    out = peephole(Circuit(2, (h(0), odd, h(1), h(1)))).gates
+    assert len(out) == 2 and out[0] is h(0) and out[1] is odd
+
+
+def _wires(c):
+    """Each wire's gates in order, as (kind, qubits) and as rz angles."""
+    on = {q: [g for g in c.gates if q in g.qubits] for q in range(c.n)}
+    return ({q: [(g.kind, g.qubits) for g in gs] for q, gs in on.items()},
+            {q: [g.theta for g in gs if g.kind == "rz"] for q, gs in on.items()})
+
+
+@st.composite
+def _cancelling_circuits(draw):
+    """Circuits of all five gate kinds on 1-3 qubits, often followed by
+    the inverse of a suffix in reverse, so that cancellations nest; rz
+    angles include zero, tiny and opposite values."""
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+    angle = st.sampled_from([0.0, -0.0, 1e-13, -5e-324, 0.25, -0.25, 0.5, -0.75, 0.1, -0.3, 0.2])
+    kinds = [st.builds(h, qubit), st.builds(s, qubit), st.builds(sdg, qubit), st.builds(rz, qubit, angle)]
+    if n > 1:
+        kinds.append(st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda p: cx(*p)))
+    gates = draw(st.lists(st.one_of(kinds), max_size=40))
+    k = draw(st.integers(0, len(gates)))
+    gates += draw(st.lists(st.one_of(kinds), max_size=3))
+    if draw(st.booleans()):
+        gates += [inverse(g) for g in reversed(gates[k:])]
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cancelling_circuits())
+def test_peephole_matches_repeated_passes_wire_by_wire(c):
+    # gates on different wires may interleave differently; each wire's
+    # sequence may not, and a merged angle may differ only in rounding
+    out, ref = peephole(c), reference_peephole(c)
+    assert len(out.gates) == len(ref.gates)
+    assert cnot_count(out) == cnot_count(ref)
+    assert entangling_depth(out) == entangling_depth(ref)
+    (kinds, angles), (ref_kinds, ref_angles) = _wires(out), _wires(ref)
+    assert kinds == ref_kinds
+    for q in angles:
+        assert angles[q] == pytest.approx(ref_angles[q], rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_peephole_of_extract_output_matches_repeated_passes(data):
+    n = data.draw(st.integers(1, 6))
+    words = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=25))
+    coeffs = st.one_of(st.just(0.0), st.just(0.0), st.floats(-2, 2))
+    terms = [PauliTerm(parse_pauli(w), data.draw(coeffs)) for w in words if w.strip("I")]
+    if terms:
+        opt = extract(terms).opt_circuit
+        assert emit_qasm(peephole(opt)) == emit_qasm(reference_peephole(opt))
+
+
+def test_peephole_is_one_pass(monkeypatch):
+    # structural, no timing: nested cancellations no longer cost a pass
+    # each, so each input gate meets at most one partner
+    mod = importlib.import_module("cliffex.circuit")
+    cancels, calls = mod._cancels, []
+
+    def counted(a, b):
+        calls.append(1)
+        return cancels(a, b)
+
+    monkeypatch.setattr(mod, "_cancels", counted)
+    c = Circuit(1, tuple([h(0), s(0)] * 500 + [sdg(0), h(0)] * 500))
+    assert peephole(c).gates == ()
+    assert 0 < len(calls) <= len(c.gates) == 2000
 
 
 def test_peephole_preserves_unitary():

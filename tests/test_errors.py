@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cliffex import (
     Circuit,
     CountsHistogram,
+    Gate,
     PauliTerm,
     ProbabilityAbsorption,
     absorb_observables,
@@ -19,11 +20,13 @@ from cliffex import (
     extract,
     gen_labs,
     gen_maxcut,
+    h,
     map_expectations,
     native_circuit,
     parse_pauli,
     parse_qasm,
     postprocess_counts,
+    rz,
 )
 from cliffex import errors
 from cliffex.errors import InvalidSize, LengthMismatch, SchemaError
@@ -146,9 +149,25 @@ def _term_list(data):
             assert not terms or len(set(sizes)) > 1
 
 
+# a qubit or an angle of any of these types: 1.0, True and NaN qubits
+# are accepted, as are negative zero and angles of any finite type
+_NUMBER_OR_NOT = st.one_of(st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                           st.none(), st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2))
+
+
+def _gate(data):
+    q, t, theta = data.draw(_NUMBER_OR_NOT), data.draw(_NUMBER_OR_NOT), data.draw(_NUMBER_OR_NOT)
+    kind = data.draw(st.sampled_from(["h", "s", "sdg", "cx", "rz", "t"]))
+    qubits = data.draw(st.one_of(st.tuples(_NUMBER_OR_NOT), st.tuples(_NUMBER_OR_NOT, _NUMBER_OR_NOT),
+                                 _NUMBER_OR_NOT))
+    fn, args = data.draw(st.sampled_from([(Gate, (kind, qubits, theta)), (Gate, (kind, qubits)), (h, (q,)),
+                                          (cx, (q, t)), (rz, (q, theta))]))
+    _only({ValueError}, fn, *args)
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_public_entry_points_raise_only_documented_types(data):
     entry = data.draw(st.sampled_from([_pauli, _qasm, _histogram, _absorption_then_postprocess,
-                                       _maxcut, _labs, _expectations, _term_list]))
+                                       _maxcut, _labs, _expectations, _term_list, _gate]))
     entry(data)

@@ -1,10 +1,15 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffex import absorb_probabilities, cnot_count, extract, gen_labs, gen_maxcut, load_terms, native_circuit
 from cliffex.errors import CliffexError, InvalidSize, LengthMismatch, SchemaError
-from cliffex.problems import to_input_dict
+from cliffex.problems import _random_graph, to_input_dict
+
+from oracle import reference_random_graph
 
 
 def test_triangle_terms():
@@ -34,6 +39,27 @@ def test_random_graph_counts():
     t = gen_maxcut(20, edges=117, seed=3)
     assert len(t) == 137
     assert cnot_count(native_circuit(t)) == 234
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_graph_matches_the_pair_list_sampler(data):
+    n = data.draw(st.integers(1, 60))
+    edges = data.draw(st.integers(0, n * (n - 1) // 2))
+    seed = data.draw(st.integers(0, 2**64))
+    assert _random_graph(n, edges, seed) == reference_random_graph(n, edges, seed)
+
+
+def test_random_graph_lists_no_pairs():
+    # structural, no timing: sampling 10 of the 1,999,000 pairs on 2000
+    # nodes from a list of them all traced about 190 MB
+    tracemalloc.start()
+    try:
+        gen_maxcut(2000, edges=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_regular_graph_is_simple_and_regular():

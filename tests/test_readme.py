@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +9,7 @@ import cliffex.errors
 from cliffex.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _export_cells() -> list[str]:
@@ -60,3 +63,34 @@ def test_readme_gen_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+# tracer targets whose code is gone, each reading 0 until the bench drops
+# or retargets it
+_DEAD_TARGETS = {
+    ("cliffex.extract", "convert_commute_sets"),
+    ("cliffex.tableau", "ConjugationTableau.conj_raw"),
+    ("cliffex.tableau", "ConjugationTableau.append_gate"),
+    ("cliffex.oracle", "circuit_unitary"),
+    ("cliffex.oracle", "statevector"),
+}
+
+
+def test_tracer_targets_exist():
+    # the bench's tracer times the (module, attribute) pairs in its
+    # TARGETS, read here without importing it: a rename in src/ would
+    # leave that layer's metric at 0 without failing anything else
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    targets = [(entry.elts[0].value, entry.elts[1].value) for entry in value.elts]
+    assert ("cliffex.circuit", "peephole") in targets
+    missing = set()
+    for modname, attr in targets:
+        try:
+            owner = importlib.import_module(modname)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            missing.add((modname, attr))
+    assert missing <= _DEAD_TARGETS, sorted(missing - _DEAD_TARGETS)
