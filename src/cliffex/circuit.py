@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -43,7 +44,8 @@ class Gate:
                 raise ValueError("rz needs a finite angle")
         except (TypeError, OverflowError):  # qubits or an angle that are not numbers
             raise ValueError(f"not a {self.kind} gate: qubits {self.qubits!r}, angle {self.theta!r}") from None
-        if self.kind == "cx" and self.qubits[0] == self.qubits[1]:
+        # "is" first: one NaN object on both wires is not equal to itself
+        if self.kind == "cx" and (self.qubits[0] is self.qubits[1] or self.qubits[0] == self.qubits[1]):
             raise ValueError("cx control and target must differ")
         if self.kind != "rz" and self.theta is not None:
             raise ValueError(f"{self.kind} carries no angle")
@@ -151,35 +153,212 @@ def _cancels(a: Gate, b: Gate) -> bool:
     return {a.kind, b.kind} == {"s", "sdg"}
 
 
-def peephole(c: Circuit) -> Circuit:
-    """Local cleanup to its fixed point, in one pass: cancel wire-adjacent
-    self-inverse pairs (H.H, CX.CX on the same control/target, S.SDG),
-    merge wire-adjacent RZ on the same qubit, drop RZ angles below 1e-12.
-    A gate that is removed uncovers the kept gate below it on each of its
-    wires, and the next gate on that wire meets that gate straight away.
-    The unitary is preserved; no commutation reasoning is attempted."""
-    kept: list[Gate | None] = []
-    below: list[tuple] = []  # per kept gate, the tops of its first and last wire before it
-    top: dict = {}  # wire -> index in kept of the top surviving gate on it
-    for g in c.gates:
-        if g.kind == "rz" and abs(g.theta) < RZ_EPS:
+class _Pair:
+    """Two gates on the same wires, at indices ``left`` < ``right``, each
+    the other's inverse, that cancel in pass ``level`` of the repeated
+    passes ``peephole`` reproduces;
+    with no gates (``left`` None) a run of RZ whose angles summed to zero
+    in that pass.  ``inner`` holds, per wire, the stack entries between
+    the two gates and ``low`` those it hides below it: pairs gone by
+    then, which a later gate passing it never meets."""
+
+    __slots__ = ("level", "left", "right", "inner", "low")
+
+    def __init__(self, level: int, left: int | None, right: int | None, inner):
+        self.level, self.left, self.right, self.inner, self.low = level, left, right, inner, []
+
+
+class _Rz:
+    """RZ gates on one wire merged into one of angle ``theta`` at the
+    first one's index ``at``, which merges into the next _Rz below it on
+    its wire's stack in pass ``merge`` (0: none does).  ``gate`` is the
+    original gate while nothing merged into it; a merged one is rebuilt
+    on qubit ``q``, the last merged gate's, as each pass rebuilds it."""
+
+    __slots__ = ("theta", "at", "q", "gate", "merge")
+
+    def __init__(self, theta: float, at: int, q, gate: Gate | None, merge: int):
+        self.theta, self.at, self.q, self.gate, self.merge = theta, at, q, gate, merge
+
+
+def _walk(stack: list) -> tuple[list, int, int]:
+    """Meet a stack's entries from the top in pass order, as a non-RZ
+    gate put on it does.  Returns the pairs met whose right gate is still
+    there when the new gate meets it, as (index, pair, pass), the index of
+    the entry that stops it (-1 for none) and the pass it meets that
+    entry in.  An RZ run is followed down through its merges, the entries
+    between hidden behind it, until it stops the gate or sums to zero."""
+    hits = []
+    cur, merge, theta = 1, 0, 0.0
+    k = len(stack) - 1
+    while k >= 0:
+        entry = stack[k]
+        if type(entry) is _Pair:
+            if not merge and entry.level >= cur:
+                if entry.level > cur and entry.left is not None:
+                    hits.append((k, entry, cur))
+                cur = entry.level + 1
+        elif type(entry) is _Rz:
+            theta = entry.theta + theta if merge else entry.theta
+            if merge and abs(theta) < RZ_EPS:
+                cur, merge = max(cur, merge + 1), 0
+            elif not entry.merge:
+                break
+            else:
+                merge = entry.merge
+        else:
+            break
+        k -= 1
+    return hits, k, cur
+
+
+def _take(gates: list[Gate], g: Gate, walks: list) -> tuple | None:
+    """The first pair, of those ``g``'s walks met, whose right gate ``g``
+    takes: the pair's left gate equals ``g``, so its right gate is ``g``'s
+    inverse.  A cx meets a pair on both its wires, in the later of the two
+    passes.  Returns (pair, its index on each wire, the pass) or None."""
+    if len(walks) == 1:
+        return next(((pair, [k], t) for k, pair, t in walks[0][0] if gates[pair.left] == g), None)
+    other = {id(pair): (k, t) for k, pair, t in walks[1][0]}
+    for k, pair, t in walks[0][0]:
+        if gates[pair.left] == g and id(pair) in other:
+            k2, t2 = other[id(pair)]
+            if max(t, t2) < pair.level:
+                return pair, [k, k2], max(t, t2)
+    return None
+
+
+def _close(stacks, pair: _Pair) -> None:
+    """Push ``pair`` on each wire's stack, hiding the pairs below it that
+    are gone in its pass or earlier."""
+    for stack in stacks:
+        low = []
+        while stack and type(stack[-1]) is _Pair and stack[-1].level <= pair.level:
+            low.append(stack.pop())
+        low.reverse()
+        pair.low.append(low)
+        stack.append(pair)
+
+
+def _join(stack: list, i: int, g: Gate) -> None:
+    """Put the RZ ``g``, index ``i``, on its wire's stack.  It meets the
+    top RZ run in the first pass in which nothing is left between them,
+    after that run's own merges due by then, and merges into it there; a
+    merge that sums to zero leaves a gap, and the run below it is met
+    instead."""
+    cur, k = 1, len(stack) - 1
+    while k >= 0:
+        entry = stack[k]
+        if type(entry) is _Pair:
+            cur = max(cur, entry.level + 1)
+            k -= 1
             continue
-        first, last = g.qubits[0], g.qubits[-1]  # one wire twice for a one-qubit gate
-        under = top.get(first), top.get(last)
-        j = under[0] if under[0] == under[1] else None
-        if j is not None and kept[j].kind == g.kind == "rz":
-            theta = kept[j].theta + g.theta
+        if type(entry) is not _Rz:
+            break
+        while entry is not None and entry.merge and entry.merge <= cur:
+            j = k - 1
+            while type(stack[j]) is not _Rz:
+                j -= 1
+            under = stack[j]
+            theta = under.theta + entry.theta
             if abs(theta) >= RZ_EPS:
-                kept[j] = rz(first, theta)
+                under.theta, under.q, under.gate = theta, entry.q, None
+                del stack[j + 1:k + 1]
+                entry, k = under, j
                 continue
-        elif j is None or not _cancels(kept[j], g):
-            top[first] = top[last] = len(kept)
-            kept.append(g)
-            below.append(under)
+            stack[j:k + 1] = [_Pair(entry.merge, None, None, None)]
+            entry, k = None, j  # met in a later pass, if any run is left
+            if under.merge:
+                cur = max(cur, under.merge)
+                k -= 1
+                while type(stack[k]) is not _Rz:
+                    k -= 1
+                entry = stack[k]
+        if entry is not None:
+            stack.append(_Rz(g.theta, i, g.qubits[0], g, cur))
+            return
+    stack.append(_Rz(g.theta, i, g.qubits[0], g, 0))
+
+
+def peephole(c: Circuit) -> Circuit:
+    """Local cleanup: cancel wire-adjacent self-inverse pairs (H.H, CX.CX
+    on the same control/target, S.SDG), merge wire-adjacent RZ on the
+    same qubit, drop RZ angles below 1e-12.  The unitary is preserved; no
+    commutation reasoning is attempted.
+
+    The result, down to which of equal gates survive and the order in
+    which RZ angles are summed, is that of whole passes repeated until
+    one changes nothing.  A pass meets each gate with the last gate kept
+    on its wires, so after a removal the next gate there waits for the
+    next pass.  One walk finds the same: each wire keeps a stack of kept
+    gates, ``_Pair`` entries tagged with the pass that removes them, and
+    ``_Rz`` runs, and a new gate meets them from the top in pass order.
+    If it meets a pair's right gate before the pair's pass and is that
+    gate's inverse, it takes it: the pair's left gate is freed and put
+    back as when it came, and meets what it met then.  Otherwise it
+    meets the first kept gate, through ``_cancels`` once."""
+    gates = [g for g in c.gates if g.kind != "rz" or abs(g.theta) >= RZ_EPS]
+    out: list[Gate | None] = list(gates)  # the kept gates by index; RZ is set at the end
+    stacks: defaultdict = defaultdict(list)  # wire -> its stack
+
+    for i, g in enumerate(gates):
+        if g.kind == "rz":
+            out[i] = None
+            _join(stacks[g.qubits[0]], i, g)
             continue
-        kept[j] = None  # g removes kept[j]: its wires' tops go back to the gates below it
-        top[first], top[last] = below[j]
-    return Circuit(c.n, tuple(g for g in kept if g is not None))
+        todo = []  # pairs to close once a freed gate is put back, innermost last
+        while True:
+            g = gates[i]
+            wires = [stacks[q] for q in g.qubits]
+            walks = [_walk(stack) for stack in wires]
+            found = walks[0][0] and _take(gates, g, walks)
+            if not found:
+                break
+            pair, ks, t = found
+            above = []
+            for stack, k, low in zip(wires, ks, pair.low):
+                above.append(stack[k + 1:])
+                del stack[k:]
+                stack.extend(low)
+            todo.append((wires, pair.inner, _Pair(t, pair.right, i, above)))
+            out[i] = None
+            i = pair.left
+        ks = [k for _, k, _ in walks]
+        stops = [stack[k] if k >= 0 else None for stack, k in zip(wires, ks)]
+        j = stops[0]  # a kept gate, met on each wire, may cancel g
+        if type(j) is int and stops[-1] == j and _cancels(gates[j], g):
+            inner = []
+            for stack, k in zip(wires, ks):
+                inner.append(stack[k + 1:])
+                del stack[k:]
+            todo.append((wires, (), _Pair(max(t for _, _, t in walks), j, i, inner)))
+            out[i] = out[j] = None
+        else:
+            out[i] = g
+            for stack in wires:
+                stack.append(i)
+        for wires, inner, pair in reversed(todo):
+            for stack, entries in zip(wires, inner):
+                stack.extend(entries)
+            _close(wires, pair)
+
+    # each RZ run left on a wire, merged from the top down in pass order
+    for stack in stacks.values():
+        merge = 0
+        for entry in reversed(stack):
+            if type(entry) is not _Rz:
+                continue
+            if merge:
+                theta, gate = entry.theta + theta, None
+                if abs(theta) < RZ_EPS:
+                    merge = 0
+                    continue
+            else:
+                theta, q, gate = entry.theta, entry.q, entry.gate
+            merge = entry.merge
+            if not merge:
+                out[entry.at] = gate or rz(q, theta)
+    return Circuit(c.n, tuple(g for g in out if g is not None))
 
 
 def _qasm_gates(gates) -> str:
@@ -234,13 +413,11 @@ def _other_line(raw: str, n: int | None) -> int | None:
     raise SchemaError(f"bad qasm statement {stmt!r}: {msg}")
 
 
-def parse_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM subset produced by :func:`emit_qasm`.  Text
-    outside that subset, including a gate that is invalid or leaves the
-    declared register, raises SchemaError naming the statement."""
-    n = None
-    gates: list[Gate] = []
-    for raw in text.splitlines():
+def _parse_lines(lines, n: int | None, gates: list[Gate]) -> int | None:
+    """Parse QASM ``lines`` from register size ``n`` (None before the
+    qreg declaration), appending each gate to ``gates``; returns the
+    register size after them."""
+    for raw in lines:
         m = _QASM_GATE.fullmatch(raw) if n is not None else None
         if m is None:
             n = _other_line(raw, n)
@@ -259,6 +436,28 @@ def parse_qasm(text: str) -> Circuit:
             stmt = raw.split("//", 1)[0].strip()[:-1].strip()
             raise SchemaError(f"bad qasm statement {stmt!r}: {exc}") from None
         gates.append(g)
+    return n
+
+
+def parse_qasm(text: str) -> Circuit:
+    """Parse the OpenQASM subset produced by :func:`emit_qasm`.  Text
+    outside that subset, including a gate that is invalid or leaves the
+    declared register, raises SchemaError naming the statement."""
+    gates: list[Gate] = []
+    n = _parse_lines(text.splitlines(), None, gates)
     if n is None:
         raise SchemaError("qasm text lacks a qreg declaration")
     return Circuit(n, tuple(gates))
+
+
+def _parse_after(head: str, c: Circuit, text: str) -> Circuit:
+    """``parse_qasm(text)``, where ``c`` is ``parse_qasm(head)``.  When
+    ``head`` ends in a newline and ``text`` starts with it, only the rest
+    of ``text`` is parsed, from ``c``'s register and gates: the parser
+    works line by line, so its state after ``head`` is (c.n, c.gates), and
+    its errors name statements, not line numbers."""
+    if not (head.endswith("\n") and text.startswith(head)):
+        return parse_qasm(text)
+    gates: list[Gate] = []
+    _parse_lines(text[len(head):].splitlines(), c.n, gates)
+    return Circuit(c.n, c.gates + tuple(gates))

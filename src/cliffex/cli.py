@@ -17,6 +17,7 @@ import os
 import stat
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 from .absorb import (
@@ -29,10 +30,10 @@ from .absorb import (
     map_expectations,
     postprocess_counts,
 )
-from .circuit import (Circuit, Gate, _qasm_gates, cnot_count, cx, emit_qasm, entangling_depth, h,
-                      parse_qasm, peephole, sdg)
+from .circuit import (Circuit, Gate, _parse_after, _qasm_gates, cnot_count, cx, emit_qasm, entangling_depth,
+                      h, parse_qasm, peephole, sdg)
 from .errors import CliffexError, NotReducible, SchemaError
-from .extract import basis_change_gates, extract, native_circuit
+from .extract import basis_change_gates, extract, native_cost
 from .pauli import _support
 from .problems import (
     _field,
@@ -130,10 +131,10 @@ _METRICS = ("cnot_after", "entangling_depth_after", "cnot_before", "entangling_d
             "rotation_count")
 
 
-def _metrics(opt: Circuit, native: Circuit, rotations: int) -> dict[str, int]:
-    """The report's metrics in ``_METRICS`` order, which verify checks them in."""
-    return dict(zip(_METRICS, (cnot_count(opt), entangling_depth(opt), cnot_count(native),
-                               entangling_depth(native), rotations)))
+def _metrics(opt: Circuit, native: tuple[int, int], rotations: int) -> dict[str, int]:
+    """The report's metrics in ``_METRICS`` order, which verify checks them
+    in; ``native`` is ``native_cost`` of the input."""
+    return dict(zip(_METRICS, (cnot_count(opt), entangling_depth(opt), *native, rotations)))
 
 
 def _layers(pa: ProbabilityAbsorption | None, records) -> list[tuple[Gate, ...]]:
@@ -177,7 +178,7 @@ def cmd_optimize(args) -> int:
             'give the input "mode": "observables" and an "observables" list'
         )
     opt = peephole(result.opt_circuit)
-    m = _metrics(opt, native_circuit(prob.terms), result.stats["rotations"])
+    m = _metrics(opt, native_cost(prob.terms), result.stats["rotations"])
     report: dict = {
         "input_digest": _digest(args.input),
         "num_qubits": prob.n,
@@ -302,12 +303,15 @@ def cmd_map_expectations(args) -> int:
     return OK
 
 
-def _artifact(path: str, what: str, n: int) -> Circuit:
-    """The circuit in a report's artifact file, which must declare the
-    input's ``n`` qubits."""
-    text = _read_text(path, what)
+def _artifact(path: str, what: str, n: int, text: str | None = None, parse=None) -> Circuit:
+    """The circuit in a report's artifact file, whose ``text`` may have
+    been read already, parsed by ``parse`` or else ``parse_qasm`` (named
+    at call time, so a wrapper put on it sees the call); it must declare
+    the input's ``n`` qubits."""
+    if text is None:
+        text = _read_text(path, what)
     try:
-        circ = parse_qasm(text)
+        circ = (parse or parse_qasm)(text)
     except SchemaError as exc:
         raise SchemaError(f"{what} {path}: {exc}") from None
     if circ.n != n:
@@ -392,9 +396,12 @@ def cmd_verify(args) -> int:
             f'report artifacts "executed" lists {len(exec_paths)} files for {len(layers)} '
             + ("observables" if mode == "observables" else "Hadamard layer in probabilities mode")
         )
-    opt = _artifact(opt_path, "optimized circuit", prob.n)
+    opt_text = _read_text(opt_path, "optimized circuit")
+    opt = _artifact(opt_path, "optimized circuit", prob.n, opt_text)
     cliff = _artifact(cliff_path, "Clifford circuit", prob.n)
-    executed = [_artifact(path, "executed circuit", prob.n) for path in exec_paths]
+    # an executed file is opt's text and then its basis layer: only the layer is parsed
+    executed = [_artifact(path, "executed circuit", prob.n, parse=partial(_parse_after, opt_text, opt))
+                for path in exec_paths]
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -412,7 +419,7 @@ def cmd_verify(args) -> int:
           images == replay((), prob.n)[0] and _same_rotations(prob.terms, rotations, prob.n))
 
     count = sum(1 for t in prob.terms if t.pauli.weight())
-    for key, value in _metrics(opt, native_circuit(prob.terms), count).items():
+    for key, value in _metrics(opt, native_cost(prob.terms), count).items():
         check(f"{key} matches {'artifact' if key.endswith('_after') else 'input'}", m[key] == value)
 
     expected = [opt.gates + layer for layer in layers]

@@ -329,3 +329,28 @@ def native_circuit(terms) -> Circuit:
         gates.append(rz(supp[-1], -2.0 * t.coeff * p.sign))
         gates += [inverse(g) for g in reversed(body)]
     return Circuit(n, tuple(gates))
+
+
+def native_cost(terms) -> tuple[int, int]:
+    """``native_circuit``'s CNOT count and entangling depth, from the
+    supports alone.  A term of weight w >= 2 adds 2(w-1) CNOTs.  Its chain
+    over the sorted support s_0 < ... < s_{w-1} ends in layer top, where
+    top starts at s_0's depth and each later qubit q sets it to
+    1 + max(top, depth of q); the mirrored chain then leaves s_j at depth
+    top + w - max(j, 1), the deepest at top + w - 1."""
+    terms, n = _term_list(terms, "synthesize")
+    depth = [0] * n
+    cnots = deepest = 0
+    for t in terms:
+        supp = _support(t.pauli.x | t.pauli.z)
+        w = len(supp)
+        if w < 2:
+            continue
+        top = depth[supp[0]]
+        for q in supp[1:]:
+            top = 1 + max(top, depth[q])
+        for j, q in enumerate(supp):
+            depth[q] = top + w - (j or 1)
+        deepest = max(deepest, top + w - 1)
+        cnots += 2 * (w - 1)
+    return cnots, deepest

@@ -162,6 +162,19 @@ def test_peephole_of_extract_output_matches_repeated_passes(data):
         assert emit_qasm(peephole(opt)) == emit_qasm(reference_peephole(opt))
 
 
+def test_peephole_keeps_the_survivors_of_repeated_passes():
+    # the passes keep the first h q[1]: the cx pair after it cancels in
+    # pass 1, and the next h q[1] cancels with the h after it in that same
+    # pass, before it could meet the first
+    terms = [PauliTerm(parse_pauli(w), 0.0) for w in ("XXZ", "YIY", "IZI", "YXZ", "XXX")]
+    opt = extract(terms).opt_circuit
+    assert emit_qasm(peephole(opt)) == emit_qasm(reference_peephole(opt))
+    assert peephole(opt).gates[:2] == (h(0), h(1))
+    # and sum RZ angles in their order: the two after the pair first
+    out = peephole(Circuit(1, (rz(0, 0.1), h(0), h(0), rz(0, 0.2), rz(0, 0.3))))
+    assert [g.theta for g in out.gates] == [0.1 + (0.2 + 0.3)] == [0.6]
+
+
 def test_peephole_is_one_pass(monkeypatch):
     # structural, no timing: nested cancellations no longer cost a pass
     # each, so each input gate meets at most one partner
@@ -176,6 +189,31 @@ def test_peephole_is_one_pass(monkeypatch):
     c = Circuit(1, tuple([h(0), s(0)] * 500 + [sdg(0), h(0)] * 500))
     assert peephole(c).gates == ()
     assert 0 < len(calls) <= len(c.gates) == 2000
+
+
+def test_peephole_walks_the_mirror_in_linear_work(monkeypatch):
+    # structural, no timing: besides the one _cancels call per gate, the
+    # stack entries each gate's walk passes and the pairs closed (each
+    # cancel or take) stay linear in the number of gates
+    mod = importlib.import_module("cliffex.circuit")
+    walk, close, work = mod._walk, mod._close, []
+
+    def counted_walk(stack):
+        hits, k, cur = walk(stack)
+        work.append(len(stack) - k)  # the entries met, the stopping one included
+        return hits, k, cur
+
+    def counted_close(stacks, pair):
+        work.append(1)
+        return close(stacks, pair)
+
+    monkeypatch.setattr(mod, "_walk", counted_walk)
+    monkeypatch.setattr(mod, "_close", counted_close)
+    for m in (500, 1000):
+        work.clear()
+        c = Circuit(1, tuple([h(0), s(0)] * m + [sdg(0), h(0)] * m))
+        assert peephole(c).gates == ()
+        assert 0 < sum(work) <= 2 * len(c.gates)
 
 
 def test_peephole_preserves_unitary():
@@ -335,6 +373,15 @@ def test_clifford_gates_on_non_int_qubits_are_built_as_given():
     assert type(cx(0, 1.0).qubits[1]) is float
     assert h(1) is one and type(h(1).qubits[0]) is int
     assert type(cx(0, 1).qubits[1]) is int
+
+
+def test_cx_refuses_one_nan_object_as_control_and_target():
+    # nan != nan, so comparing the qubits alone let cx(x, x) through
+    x = float("nan")
+    for build in (lambda: cx(x, x), lambda: Gate("cx", (x, x))):
+        with pytest.raises(ValueError, match="^cx control and target must differ$"):
+            build()
+    assert cx(float("nan"), float("nan")).kind == "cx"  # two NaN objects are two wires
 
 
 def test_circuit_names_the_first_gate_out_of_range():

@@ -196,7 +196,7 @@ def test_optimize_refusal_message_and_no_outputs(tmp_path, capsys, monkeypatch):
         raise AssertionError("a refused input reached the artifacts")
 
     monkeypatch.setattr(cli, "peephole", unreached)
-    monkeypatch.setattr(cli, "native_circuit", unreached)
+    monkeypatch.setattr(cli, "native_cost", unreached)
     inp = write_json(tmp_path / "y.json", {"num_qubits": 2, "terms": [{"pauli": "YZ", "coeff": 0.4}]})
     assert run(*_opt_args(tmp_path, inp)) == 2
     out, err = capsys.readouterr()
@@ -952,6 +952,91 @@ def test_verify_reads_executed_observable_circuits(tmp_path, capsys, xyz_input):
     assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 2
     err = capsys.readouterr().err
     assert _one_error_line_in(err) and f"executed circuit {paths[k]}" in err
+
+
+def test_optimize_and_verify_never_build_the_native_circuit(tmp_path, monkeypatch, xyz_input, triangle_input):
+    # the baseline is counted from the term supports (extract.native_cost);
+    # the CLI holds no name of its own for the mirrored circuit
+    cli = importlib.import_module("cliffex.cli")
+    assert not hasattr(cli, "native_circuit")
+
+    def unreached(*args):
+        raise AssertionError("the native circuit was built")
+
+    monkeypatch.setattr(importlib.import_module("cliffex.extract"), "native_circuit", unreached)
+    for inp in (xyz_input, triangle_input):
+        assert run(*_opt_args(tmp_path, inp)) == 0
+        assert run("verify", inp, "--report", tmp_path / "report.json") == 0
+
+
+def test_verify_parses_opt_once(tmp_path, monkeypatch, xyz_input):
+    # structural, no timing: an executed file that starts with opt's text
+    # is parsed only after it, so the gate pattern runs once per gate line
+    # of opt, of the Clifford file and of each basis layer
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    bound = sum(len(parse_qasm((tmp_path / name).read_text()).gates) for name in ("opt.qasm", "clifford.qasm"))
+    bound += sum(len(rec["basis_layer"]) for rec in report["observables"])
+    module = importlib.import_module("cliffex.circuit")
+    pattern, lines = module._QASM_GATE, []
+
+    class Counting:
+        def fullmatch(self, line):
+            lines.append(line)
+            return pattern.fullmatch(line)
+
+    monkeypatch.setattr(module, "_QASM_GATE", Counting())
+    assert run("verify", xyz_input, "--report", tmp_path / "report.json") == 0
+    assert 0 < len(lines) <= bound
+
+
+def test_verify_verdicts_do_not_depend_on_the_opt_prefix(tmp_path, capsys, xyz_input):
+    assert run(*_opt_args(tmp_path, xyz_input)) == 0
+    report = tmp_path / "report.json"
+    paths = json.loads(report.read_text())["artifacts"]["executed"]
+    opt_path = tmp_path / "opt.qasm"
+    opt = opt_path.read_text()
+    valid = Path(paths[0]).read_text()
+
+    def verify():
+        capsys.readouterr()
+        return run("verify", xyz_input, "--report", report)
+
+    # reformatted, so no longer starting with opt's text: still passes
+    Path(paths[0]).write_text("// reformatted\n\n" + "".join(
+        line.replace(",", " ,  ") + "  // gate\n\n" for line in valid.splitlines()))
+    assert verify() == 0
+    Path(paths[0]).write_text(valid)
+    # opt's text without its trailing newline: every file is parsed whole
+    opt_path.write_text(opt[:-1])
+    assert verify() == 0
+    opt_path.write_text(opt)
+    # a statement outside the register after opt's text
+    Path(paths[0]).write_text(opt + "h q[9];\n")
+    assert verify() == 2
+    assert capsys.readouterr().err == (
+        f"error: executed circuit {paths[0]}: bad qasm statement 'h q[9]': "
+        "qubit 9 outside the 4-qubit register\n")
+    # one of opt's gates dropped
+    lines = valid.splitlines(keepends=True)
+    Path(paths[0]).write_text("".join(lines[:3] + lines[4:]))
+    assert verify() == 1
+    assert "FAIL  executed circuit 0 is opt plus observable 0's basis layer" in capsys.readouterr().out
+
+
+def test_verify_passes_an_observable_with_an_empty_basis_layer(tmp_path, capsys):
+    inp = write_json(tmp_path / "zz.json", {
+        "num_qubits": 3,
+        "terms": [{"pauli": "ZZI", "coeff": 0.3}, {"pauli": "IZZ", "coeff": -0.2}],
+        "observables": ["ZIZ", "XXX"],
+    })
+    assert run(*_opt_args(tmp_path, inp)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["observables"][0]["basis_layer"] == []
+    assert Path(report["artifacts"]["executed"][0]).read_text() == (tmp_path / "opt.qasm").read_text()
+    capsys.readouterr()
+    assert run("verify", inp, "--report", tmp_path / "report.json") == 0
+    assert "pass  executed circuit 0 is opt plus observable 0's basis layer" in capsys.readouterr().out
 
 
 _COMMON_CHECKS = [

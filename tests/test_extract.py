@@ -14,6 +14,7 @@ from cliffex import (
     Gate,
     cnot_count,
     cx,
+    entangling_depth,
     extract,
     h,
     native_circuit,
@@ -30,6 +31,7 @@ from cliffex.extract import (
     _score_candidates,
     _sub,
     basis_change_gates,
+    native_cost,
     tree_synthesis,
 )
 from cliffex.pauli import PauliString, PauliTerm, _support
@@ -798,6 +800,28 @@ def test_extract_deterministic():
     a, b = extract(terms), extract(terms)
     assert a.opt_circuit == b.opt_circuit
     assert a.extracted == b.extracted
+
+
+@st.composite
+def _native_cases(draw):
+    """Signed term lists on 1-9 qubits with identity, weight-1 and
+    repeated strings among them."""
+    n = draw(st.integers(1, 9))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    single = st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")).map(
+        lambda qa: "I" * qa[0] + qa[1] + "I" * (n - 1 - qa[0]))
+    words = draw(st.lists(st.one_of(word, single, st.just("I" * n)), min_size=1, max_size=12))
+    words += draw(st.lists(st.sampled_from(words), max_size=4))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(words), max_size=len(words)))
+    coeff = st.floats(-2, 2, allow_nan=False)
+    return [PauliTerm(parse_pauli(sg + w), draw(coeff)) for sg, w in zip(signs, words)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_native_cases())
+def test_native_cost_counts_native_circuit(terms):
+    c = native_circuit(terms)
+    assert native_cost(terms) == (cnot_count(c), entangling_depth(c))
 
 
 def test_native_circuit_cost_and_unitary():
