@@ -116,6 +116,8 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise InvalidSize(f"qubit count must be an int, got {self.n!r}")
         if self.n < 1:
             raise InvalidSize(f"qubit count must be positive, got {self.n}")
         # one max over every qubit; "not <" also sends a NaN qubit, which
@@ -158,14 +160,13 @@ class _Pair:
     the other's inverse, that cancel in pass ``level`` of the repeated
     passes ``peephole`` reproduces;
     with no gates (``left`` None) a run of RZ whose angles summed to zero
-    in that pass.  ``inner`` holds, per wire, the stack entries between
-    the two gates and ``low`` those it hides below it: pairs gone by
-    then, which a later gate passing it never meets."""
+    in that pass.  ``inner`` holds, per wire, its stack and the stack
+    entries between the two gates."""
 
-    __slots__ = ("level", "left", "right", "inner", "low")
+    __slots__ = ("level", "left", "right", "inner")
 
     def __init__(self, level: int, left: int | None, right: int | None, inner):
-        self.level, self.left, self.right, self.inner, self.low = level, left, right, inner, []
+        self.level, self.left, self.right, self.inner = level, left, right, inner
 
 
 class _Rz:
@@ -181,15 +182,16 @@ class _Rz:
         self.theta, self.at, self.q, self.gate, self.merge = theta, at, q, gate, merge
 
 
-def _walk(stack: list) -> tuple[list, int, int]:
-    """Meet a stack's entries from the top in pass order, as a non-RZ
-    gate put on it does.  Returns the pairs met whose right gate is still
-    there when the new gate meets it, as (index, pair, pass), the index of
-    the entry that stops it (-1 for none) and the pass it meets that
-    entry in.  An RZ run is followed down through its merges, the entries
-    between hidden behind it, until it stops the gate or sums to zero."""
+def _walk(stack: list, cur: int = 1) -> tuple[list, int, int]:
+    """Meet a stack's entries from the top in pass order from pass ``cur``,
+    as a non-RZ gate put on it does.  Returns the pairs met whose right gate
+    is still there when the new gate meets it, as (index, pair, pass), the
+    index of the entry that stops it (-1 for none) and the pass it meets
+    that entry in.  An RZ run is followed down through its merges, the
+    entries between hidden behind it, until it stops the gate or sums to
+    zero."""
     hits = []
-    cur, merge, theta = 1, 0, 0.0
+    merge, theta = 0, 0.0
     k = len(stack) - 1
     while k >= 0:
         entry = stack[k]
@@ -213,30 +215,26 @@ def _walk(stack: list) -> tuple[list, int, int]:
 
 
 def _take(gates: list[Gate], g: Gate, walks: list) -> tuple | None:
-    """The first pair, of those ``g``'s walks met, whose right gate ``g``
-    takes: the pair's left gate equals ``g``, so its right gate is ``g``'s
-    inverse.  A cx meets a pair on both its wires, in the later of the two
-    passes.  Returns (pair, its index on each wire, the pass) or None."""
-    if len(walks) == 1:
-        return next(((pair, [k], t) for k, pair, t in walks[0][0] if gates[pair.left] == g), None)
-    other = {id(pair): (k, t) for k, pair, t in walks[1][0]}
-    for k, pair, t in walks[0][0]:
-        if gates[pair.left] == g and id(pair) in other:
-            k2, t2 = other[id(pair)]
-            if max(t, t2) < pair.level:
-                return pair, [k, k2], max(t, t2)
+    """The first pair, of those the first of ``g``'s walks met, that every
+    walk met and whose right gate ``g`` takes: the pair's left gate equals
+    ``g``, so its right gate is ``g``'s inverse.  ``g`` takes it in the
+    later of the passes its walks met it in, each before the pair's own.
+    Returns (pair, its index on each wire, the pass) or None."""
+    met = [{pair: (k, t) for k, pair, t in hits} for hits, _, _ in walks]
+    for pair in met[0]:
+        if gates[pair.left] == g and all(pair in m for m in met):
+            ks, ts = zip(*(m[pair] for m in met))
+            return pair, ks, max(ts)
     return None
 
 
 def _close(stacks, pair: _Pair) -> None:
-    """Push ``pair`` on each wire's stack, hiding the pairs below it that
-    are gone in its pass or earlier."""
+    """Push ``pair`` on each wire's stack, dropping the pairs below it that
+    are gone in its pass or earlier: a walk past ``pair``, or from a gate
+    freed when it is taken, goes on in a later pass and never meets them."""
     for stack in stacks:
-        low = []
         while stack and type(stack[-1]) is _Pair and stack[-1].level <= pair.level:
-            low.append(stack.pop())
-        low.reverse()
-        pair.low.append(low)
+            stack.pop()
         stack.append(pair)
 
 
@@ -244,37 +242,27 @@ def _join(stack: list, i: int, g: Gate) -> None:
     """Put the RZ ``g``, index ``i``, on its wire's stack.  It meets the
     top RZ run in the first pass in which nothing is left between them,
     after that run's own merges due by then, and merges into it there; a
-    merge that sums to zero leaves a gap, and the run below it is met
-    instead."""
+    merge that sums to zero leaves a pair of no gates, met as any pair."""
     cur, k = 1, len(stack) - 1
-    while k >= 0:
+    while k >= 0 and type(stack[k]) is not int:
         entry = stack[k]
         if type(entry) is _Pair:
-            cur = max(cur, entry.level + 1)
-            k -= 1
+            cur, k = max(cur, entry.level + 1), k - 1
             continue
-        if type(entry) is not _Rz:
-            break
-        while entry is not None and entry.merge and entry.merge <= cur:
+        while entry.merge and entry.merge <= cur:
             j = k - 1
             while type(stack[j]) is not _Rz:
                 j -= 1
             under = stack[j]
             theta = under.theta + entry.theta
-            if abs(theta) >= RZ_EPS:
-                under.theta, under.q, under.gate = theta, entry.q, None
-                del stack[j + 1:k + 1]
-                entry, k = under, j
-                continue
-            stack[j:k + 1] = [_Pair(entry.merge, None, None, None)]
-            entry, k = None, j  # met in a later pass, if any run is left
-            if under.merge:
-                cur = max(cur, under.merge)
-                k -= 1
-                while type(stack[k]) is not _Rz:
-                    k -= 1
-                entry = stack[k]
-        if entry is not None:
+            if abs(theta) < RZ_EPS:
+                stack[j:k + 1] = [_Pair(entry.merge, None, None, None)]
+                k = j
+                break
+            under.theta, under.q, under.gate = theta, entry.q, None
+            del stack[j + 1:k + 1]
+            entry, k = under, j
+        else:
             stack.append(_Rz(g.theta, i, g.qubits[0], g, cur))
             return
     stack.append(_Rz(g.theta, i, g.qubits[0], g, 0))
@@ -294,9 +282,13 @@ def peephole(c: Circuit) -> Circuit:
     gates, ``_Pair`` entries tagged with the pass that removes them, and
     ``_Rz`` runs, and a new gate meets them from the top in pass order.
     If it meets a pair's right gate before the pair's pass and is that
-    gate's inverse, it takes it: the pair's left gate is freed and put
-    back as when it came, and meets what it met then.  Otherwise it
-    meets the first kept gate, through ``_cancels`` once."""
+    gate's inverse, it takes it: the pair's left gate is freed.  In the
+    passes up to the pair's, that gate met what is below it and removed
+    nothing, so it walks again from the pass after.  Otherwise the gate
+    meets the first kept gate, through ``_cancels`` once.  A cx walks
+    the shorter of its wires' stacks first, and the other only if that
+    walk met a pair it could take or a kept gate: it removes nothing
+    that one of its wires lacks."""
     gates = [g for g in c.gates if g.kind != "rz" or abs(g.theta) >= RZ_EPS]
     out: list[Gate | None] = list(gates)  # the kept gates by index; RZ is set at the end
     stacks: defaultdict = defaultdict(list)  # wire -> its stack
@@ -306,30 +298,33 @@ def peephole(c: Circuit) -> Circuit:
             out[i] = None
             _join(stacks[g.qubits[0]], i, g)
             continue
-        todo = []  # pairs to close once a freed gate is put back, innermost last
+        todo, cur = [], 1  # pairs to close once a freed gate is put back, innermost last
         while True:
             g = gates[i]
             wires = [stacks[q] for q in g.qubits]
-            walks = [_walk(stack) for stack in wires]
-            found = walks[0][0] and _take(gates, g, walks)
+            wires.sort(key=len)
+            walks = [_walk(wires[0], cur)]
+            hits, k, _ = walks[0]
+            if wires[1:]:  # a cx's other wire matters only if this one met what it could remove
+                useful = k >= 0 and type(wires[0][k]) is int or any(gates[p.left] == g for _, p, _ in hits)
+                walks.append(_walk(wires[1], cur) if useful else ([], -1, cur))
+            found = hits and _take(gates, g, walks)
             if not found:
                 break
             pair, ks, t = found
             above = []
-            for stack, k, low in zip(wires, ks, pair.low):
-                above.append(stack[k + 1:])
+            for stack, k in zip(wires, ks):
+                above.append((stack, stack[k + 1:]))
                 del stack[k:]
-                stack.extend(low)
             todo.append((wires, pair.inner, _Pair(t, pair.right, i, above)))
             out[i] = None
-            i = pair.left
-        ks = [k for _, k, _ in walks]
-        stops = [stack[k] if k >= 0 else None for stack, k in zip(wires, ks)]
+            i, cur = pair.left, pair.level + 1
+        stops = [stack[k] if k >= 0 else None for stack, (_, k, _) in zip(wires, walks)]
         j = stops[0]  # a kept gate, met on each wire, may cancel g
         if type(j) is int and stops[-1] == j and _cancels(gates[j], g):
             inner = []
-            for stack, k in zip(wires, ks):
-                inner.append(stack[k + 1:])
+            for stack, (_, k, _) in zip(wires, walks):
+                inner.append((stack, stack[k + 1:]))
                 del stack[k:]
             todo.append((wires, (), _Pair(max(t for _, _, t in walks), j, i, inner)))
             out[i] = out[j] = None
@@ -338,7 +333,7 @@ def peephole(c: Circuit) -> Circuit:
             for stack in wires:
                 stack.append(i)
         for wires, inner, pair in reversed(todo):
-            for stack, entries in zip(wires, inner):
+            for stack, entries in inner:
                 stack.extend(entries)
             _close(wires, pair)
 

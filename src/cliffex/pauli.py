@@ -47,10 +47,14 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise InvalidSize(f"qubit count must be an int, got {self.n!r}")
         if self.n < 1:
             raise InvalidSize(f"qubit count must be positive, got {self.n}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if type(self.x) is not int or type(self.z) is not int:
+            raise ValueError(f"bit masks must be ints, got {self.x!r} and {self.z!r}")
         full = (1 << self.n) - 1
         if not 0 <= self.x <= full or not 0 <= self.z <= full:
             raise ValueError("bit masks exceed the qubit count")

@@ -198,8 +198,8 @@ def test_peephole_walks_the_mirror_in_linear_work(monkeypatch):
     mod = importlib.import_module("cliffex.circuit")
     walk, close, work = mod._walk, mod._close, []
 
-    def counted_walk(stack):
-        hits, k, cur = walk(stack)
+    def counted_walk(stack, *rest):
+        hits, k, cur = walk(stack, *rest)
         work.append(len(stack) - k)  # the entries met, the stopping one included
         return hits, k, cur
 
@@ -213,6 +213,79 @@ def test_peephole_walks_the_mirror_in_linear_work(monkeypatch):
         work.clear()
         c = Circuit(1, tuple([h(0), s(0)] * m + [sdg(0), h(0)] * m))
         assert peephole(c).gates == ()
+        assert 0 < sum(work) <= 2 * len(c.gates)
+
+
+@st.composite
+def _nested_circuits(draw):
+    """Nests of all five gate kinds on 2-3 qubits, mostly cx: each level
+    wraps a body in a gate and its inverse, and sometimes repeats the gate
+    after its inverse, so that a later gate takes a pending pair's right
+    gate; rz angles include opposite and tiny ones."""
+    n = draw(st.integers(2, 3))
+    qubit = st.integers(0, n - 1)
+    angle = st.sampled_from([1e-13, -1e-13, 0.25, -0.25, 0.5, -0.5, 0.1])
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda p: cx(*p))
+    gate = st.one_of(pair, pair, pair, st.builds(h, qubit), st.builds(s, qubit), st.builds(sdg, qubit),
+                     st.builds(rz, qubit, angle))
+
+    def nest(depth):
+        gates = draw(st.lists(gate, max_size=2))
+        for _ in range(draw(st.integers(0, 2)) if depth else 0):
+            g = draw(gate)
+            gates += [g, *nest(depth - 1), inverse(g)] + [g] * draw(st.booleans())
+        return gates
+
+    return Circuit(n, tuple(nest(draw(st.integers(1, 4)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_circuits())
+def test_peephole_of_nested_circuits_matches_repeated_passes(c):
+    # byte for byte: the survivors of takes, and of the freed gates that
+    # walk again from the pass after their old pair's, are the passes'
+    assert emit_qasm(peephole(c)) == emit_qasm(reference_peephole(c))
+
+
+def test_peephole_matches_repeated_passes_on_shrunk_cases():
+    # shrunk from random circuits; each one's output would differ from the
+    # passes' if a freed gate resumed at its old pair's pass or earlier, if
+    # a cx took a pair in the earlier of its wires' passes, or if the pair
+    # a zero-sum RZ merge leaves were tagged a pass late
+    cases = [
+        (s(1), s(1), s(1), sdg(1), sdg(1), sdg(1), sdg(1), s(1), s(1), sdg(1), s(0), s(1)),
+        (cx(0, 1), s(0), cx(0, 1), s(0), sdg(0), cx(0, 1), sdg(0), cx(0, 1), s(0), sdg(0), cx(0, 1),
+         rz(1, -0.25), s(0)),
+        (rz(1, 0.5), rz(1, -0.25), h(1), h(1), rz(1, -0.25), rz(1, -0.25), rz(1, 0.5), rz(1, -0.25),
+         rz(1, 0.5), rz(1, -0.25), rz(1, -0.25), h(1), h(0), h(1), rz(1, 0.5)),
+    ]
+    for gates in cases:
+        c = Circuit(2, gates)
+        assert emit_qasm(peephole(c)) == emit_qasm(reference_peephole(c))
+
+
+def test_peephole_walks_nests_then_cx_copies_in_linear_work(monkeypatch):
+    # structural, no timing: one-wire nests that cancel in passes k, k-1,
+    # ..., 1 leave pairs on wire 0 that a cx(0, 1) would pass on each walk;
+    # a cx walks its shorter stack first and keeps off wire 0 when that
+    # walk meets nothing it could remove
+    mod = importlib.import_module("cliffex.circuit")
+    walk, work = mod._walk, []
+
+    def counted_walk(stack, *rest):
+        hits, k, cur = walk(stack, *rest)
+        work.append(len(stack) - k)  # the entries met, the stopping one included
+        return hits, k, cur
+
+    monkeypatch.setattr(mod, "_walk", counted_walk)
+    for k in (20, 40):
+        work.clear()
+        gates = []
+        for d in range(k, 0, -1):  # alternate first gates, so neighbouring nests do not cancel
+            head = [(h, s)[(i + d) % 2](0) for i in range(d)]
+            gates += head + [inverse(g) for g in reversed(head)]
+        c = Circuit(2, tuple(gates + [cx(0, 1)] * (2 * k * k)))
+        assert emit_qasm(peephole(c)) == emit_qasm(reference_peephole(c))
         assert 0 < sum(work) <= 2 * len(c.gates)
 
 

@@ -13,6 +13,7 @@ from cliffex import (
     Circuit,
     CountsHistogram,
     Gate,
+    PauliString,
     PauliTerm,
     ProbabilityAbsorption,
     absorb_observables,
@@ -85,6 +86,21 @@ def test_counts_histogram_refuses_non_int_sizes():
     for args in ((1, {"0": 3}, 3.0), (0, {}, False), (1.0, {"0": 1}, 1), (-1, {}, 0), (True, {"0": 1}, 1)):
         with pytest.raises(SchemaError, match="is not a non-negative integer"):
             CountsHistogram(*args)
+
+
+def test_circuit_and_pauli_string_take_int_sizes_and_masks():
+    # a float or bool size would be written as qreg q[2.5]; or q[True];,
+    # which parse_qasm refuses, and a float mask breaks label()
+    for n in (2.5, 2.0, True, "3", None):
+        for fn, args in ((Circuit, (n,)), (PauliString, (n,)), (PauliString, (n, 1, 0))):
+            with pytest.raises(InvalidSize, match="qubit count must be an int"):
+                fn(*args)
+    for args in ((2, 1.5), (2, 0, 1.0), (2, True), (2, 0, "1"), (2, None)):
+        with pytest.raises(ValueError, match="bit masks must be ints"):
+            PauliString(*args)
+    for cls in (Circuit, PauliString):
+        with pytest.raises(InvalidSize, match="qubit count must be positive, got 0"):
+            cls(0)
 
 
 def _absorption_then_postprocess(data):
